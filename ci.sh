@@ -107,4 +107,12 @@ for key in name root_seed samples candidates reps host_ns_p50 host_ns_p90 \
   grep -q "\"${key}\":" BENCH_establish.json ||
     { echo "BENCH_establish.json schema drift: missing key '${key}'" >&2; exit 1; }
 done
+# perfbench is a package of its own (kept out of the workspace): run its
+# tests and lints, then one short untraced run of every workload. The run
+# exits non-zero if any simulated result drifts from the committed
+# perfbench/fingerprints.txt, so this gates simulated behaviour too.
+echo "== perfbench"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
+python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 >/dev/null
 echo "ci.sh: all checks passed"

@@ -16,7 +16,7 @@
 //! criterion benches with a zero-dependency measurement loop (warmup +
 //! timed samples, median/p95 in nanoseconds, one JSON line per benchmark
 //! on stdout). Run it with `cargo run --release -p mee-bench --bin
-//! bench-simulator` / `--bin bench-channel`.
+//! bench-simulator`.
 
 pub mod campaign;
 pub mod harness;

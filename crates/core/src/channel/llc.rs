@@ -11,107 +11,14 @@
 //! [`stealth`](crate::experiments::stealth) experiment quantifies the
 //! difference in footprint.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, ProcId};
+use mee_machine::{run_actor_refs, ActorRef, ProcId};
 use mee_mem::AddressSpaceKind;
 use mee_types::{Cycles, ModelError, VirtAddr, LINE_SIZE, PAGE_SIZE};
 
-use mee_machine::{CoreHandle, StepOutcome};
-
 use crate::channel::message::BitErrors;
-use crate::channel::prime_probe::PpTrojanActor;
+use crate::channel::prime_probe::{MidWindowTouch, SetProbe};
+use crate::channel::windowed::{Schedule, WindowedActor};
 use crate::setup::AttackSetup;
-
-/// The LLC spy: primes and probes *without* flushing — classic
-/// Prime+Probe relies on conflict misses, and the eviction set's lines
-/// alias in the (smaller) L1/L2 sets, so probe accesses naturally fall
-/// through to the LLC.
-#[derive(Debug)]
-pub struct LlcSpyActor {
-    eviction_set: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    bits: usize,
-    state: LlcSpyState,
-    t1: Cycles,
-    probe_times: Vec<Cycles>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LlcSpyState {
-    WaitWindow(usize),
-    Probe(usize, usize),
-    Close(usize),
-    Finished,
-}
-
-impl LlcSpyActor {
-    /// Creates the LLC spy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the eviction set is empty.
-    pub fn new(eviction_set: Vec<VirtAddr>, window: Cycles, start: Cycles, bits: usize) -> Self {
-        assert!(!eviction_set.is_empty(), "eviction set must be non-empty");
-        LlcSpyActor {
-            eviction_set,
-            window,
-            start,
-            bits,
-            state: LlcSpyState::WaitWindow(0),
-            t1: Cycles::ZERO,
-            probe_times: Vec::new(),
-        }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// Raw sweep durations (index 0 is the cold prime).
-    pub fn probe_times(&self) -> &[Cycles] {
-        &self.probe_times
-    }
-
-    /// Decodes: a sweep slower than `threshold` means a way was evicted.
-    pub fn decode(&self, threshold: Cycles) -> Vec<bool> {
-        self.probe_times
-            .iter()
-            .skip(1)
-            .map(|&t| t > threshold)
-            .collect()
-    }
-}
-
-impl mee_machine::Actor for LlcSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            LlcSpyState::WaitWindow(i) => {
-                if i > self.bits {
-                    self.state = LlcSpyState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(i));
-                self.t1 = cpu.timer_read();
-                self.state = LlcSpyState::Probe(i, 0);
-            }
-            LlcSpyState::Probe(i, j) => {
-                cpu.read(self.eviction_set[j])?;
-                if j + 1 < self.eviction_set.len() {
-                    self.state = LlcSpyState::Probe(i, j + 1);
-                } else {
-                    self.state = LlcSpyState::Close(i);
-                }
-            }
-            LlcSpyState::Close(i) => {
-                let t2 = cpu.timer_read();
-                self.probe_times.push(t2.saturating_sub(self.t1));
-                self.state = LlcSpyState::WaitWindow(i + 1);
-            }
-            LlcSpyState::Finished => return Ok(StepOutcome::Done),
-        }
-        Ok(StepOutcome::Running)
-    }
-}
 
 /// An established LLC Prime+Probe channel between two regular processes.
 #[derive(Debug, Clone)]
@@ -150,8 +57,14 @@ impl LlcSession {
     ///
     /// # Errors
     ///
-    /// Propagates allocation errors.
+    /// Propagates allocation and translation errors; returns
+    /// [`ModelError::InvalidConfig`] for a zero window.
     pub fn establish(setup: &mut AttackSetup, window: Cycles) -> Result<Self, ModelError> {
+        if window == Cycles::ZERO {
+            return Err(ModelError::InvalidConfig {
+                reason: "window must be non-zero".into(),
+            });
+        }
         let llc = setup.machine.llc().config();
         let ways = llc.ways;
         let sets = llc.sets;
@@ -159,37 +72,24 @@ impl LlcSession {
         // lines.
         let span_pages = (ways * sets * LINE_SIZE).div_ceil(PAGE_SIZE) + 1;
 
-        let spy_proc = setup.machine.create_process(AddressSpaceKind::Regular);
-        let spy_base = VirtAddr::new(0x4000_0000);
-        setup
-            .machine
-            .map_pages_contiguous(spy_proc, spy_base, span_pages)?;
-        let trojan_proc = setup.machine.create_process(AddressSpaceKind::Regular);
-        let trojan_base = VirtAddr::new(0x5000_0000);
-        setup
-            .machine
-            .map_pages_contiguous(trojan_proc, trojan_base, span_pages)?;
-
         // With physical contiguity, the set index of any VA is computable
         // from the base alignment (hugepage bases are known-aligned; here we
         // read the translation once, as real attackers read /proc or probe).
-        let target_set = 0x2a % sets;
-        let line_of = |machine: &mee_machine::Machine, proc, base: VirtAddr| {
-            machine.translate(proc, base).unwrap().line().raw()
+        // Each party maps its buffer and takes its first line in the target
+        // set.
+        let (sets, target_set) = (sets as u64, 0x2a % sets as u64);
+        let mut map = |base: VirtAddr| -> Result<(ProcId, VirtAddr), ModelError> {
+            let proc = setup.machine.create_process(AddressSpaceKind::Regular);
+            setup.machine.map_pages_contiguous(proc, base, span_pages)?;
+            let pa_line = setup.machine.translate(proc, base)?.line().raw();
+            let align = (target_set + sets - pa_line % sets) % sets;
+            Ok((proc, base + align * LINE_SIZE as u64))
         };
-        let spy_pa_line = line_of(&setup.machine, spy_proc, spy_base);
-        let spy_align = (target_set as u64 + sets as u64
-            - (spy_pa_line % sets as u64))
-            % sets as u64;
-        let eviction_set: Vec<VirtAddr> = (0..ways)
-            .map(|w| spy_base + (spy_align + (w * sets) as u64) * LINE_SIZE as u64)
+        let (spy_proc, spy_first) = map(VirtAddr::new(0x4000_0000))?;
+        let (trojan_proc, target) = map(VirtAddr::new(0x5000_0000))?;
+        let eviction_set: Vec<VirtAddr> = (0..ways as u64)
+            .map(|w| spy_first + w * sets * LINE_SIZE as u64)
             .collect();
-
-        let trojan_pa_line = line_of(&setup.machine, trojan_proc, trojan_base);
-        let trojan_align = (target_set as u64 + sets as u64
-            - (trojan_pa_line % sets as u64))
-            % sets as u64;
-        let target = trojan_base + trojan_align * LINE_SIZE as u64;
 
         // Calibrate: all-hit probe sweeps (no flushes — the lines alias in
         // L1/L2 and keep falling through to the LLC) vs the DRAM penalty of
@@ -228,34 +128,42 @@ impl LlcSession {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
+    /// Propagates machine errors; returns [`ModelError::InvalidConfig`] for
+    /// a zero window.
     pub fn transmit(
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
     ) -> Result<LlcOutcome, ModelError> {
-        let window = self.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = PpTrojanActor::new(self.target, bits.to_vec(), window, start);
-        let mut spy = LlcSpyActor::new(self.eviction_set.clone(), window, start, bits.len());
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
+        let schedule = Schedule::agree(
+            &setup.machine,
+            setup.spy.core,
+            setup.trojan.core,
+            self.window,
+        )?;
+        let mut trojan = WindowedActor::new(
+            schedule,
+            bits.len(),
+            MidWindowTouch::new(self.target, bits.to_vec()),
+        );
+        // No flushes: the eviction set's lines alias in the (smaller) L1/L2
+        // sets, so probe accesses naturally fall through to the LLC.
+        let mut spy = WindowedActor::new(
+            schedule,
+            bits.len() + 1,
+            SetProbe::new(self.eviction_set.clone(), false),
+        );
         {
             let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, self.spy_proc, &mut spy as &mut dyn Actor),
+                (setup.spy.core, self.spy_proc, &mut spy),
                 (setup.trojan.core, self.trojan_proc, &mut trojan),
             ];
+            let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
             run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
         }
-        let received = spy.decode(self.probe_threshold);
+        let received = spy.action().decode(self.probe_threshold);
         let errors = BitErrors::compare(bits, &received);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let elapsed = window * (bits.len() as u64 + 1);
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
+        let kbps = schedule.kbps(&setup.machine, bits.len(), bits.len());
         Ok(LlcOutcome {
             sent: bits.to_vec(),
             received,
@@ -287,7 +195,10 @@ mod tests {
         for &a in &session.eviction_set {
             assert_eq!(set_of(session.spy_proc, a), expected);
         }
-        assert_eq!(session.eviction_set.len(), setup.machine.llc().config().ways);
+        assert_eq!(
+            session.eviction_set.len(),
+            setup.machine.llc().config().ways
+        );
     }
 
     #[test]
@@ -299,6 +210,22 @@ mod tests {
         let out = session.transmit(&mut setup, &bits).unwrap();
         assert_eq!(out.received, bits, "LLC channel miscommunicated");
         assert!(out.kbps > 100.0, "kbps = {}", out.kbps);
+    }
+
+    #[test]
+    fn zero_window_is_rejected() {
+        let mut setup = AttackSetup::quiet(314).unwrap();
+        assert!(matches!(
+            LlcSession::establish(&mut setup, Cycles::ZERO),
+            Err(ModelError::InvalidConfig { .. })
+        ));
+        // The window is a public field, so transmit checks it too.
+        let mut session = LlcSession::establish(&mut setup, Cycles::new(4_000)).unwrap();
+        session.window = Cycles::ZERO;
+        assert!(matches!(
+            session.transmit(&mut setup, &[true, false]),
+            Err(ModelError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

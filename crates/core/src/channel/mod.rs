@@ -11,6 +11,11 @@
 //! set, a short handshake gives the spy its monitor address, and
 //! [`Session::transmit`] runs both actors concurrently on their cores.
 //!
+//! Every channel's actor is a [`WindowedActor`] running one per-window
+//! [`WindowAction`]: [`EvictionSweep`] and [`TimedProbe`] here,
+//! [`wide::LaneSweep`], and the baselines' [`prime_probe::MidWindowTouch`]
+//! and [`prime_probe::SetProbe`].
+//!
 //! [`prime_probe`] implements the straightforward port of LLC Prime+Probe
 //! the paper shows *failing* over the MEE cache (Figure 6a), and
 //! [`coding`] adds the error-handling layer the paper leaves as future
@@ -27,12 +32,14 @@ mod session;
 mod spy;
 mod trojan;
 pub mod wide;
+mod windowed;
 
 pub use config::{ChannelConfig, EvictionStrategy, RecoveryPolicy};
 pub use leak::{bits_to_bytes, bytes_to_bits, LeakOutcome};
 pub use message::{alternating_bits, paper_100_pattern, random_bits, BitErrors};
 pub use reliable::{ReliableLink, ReliableStats};
 pub use session::{RobustOutcome, Session, TransmitOutcome};
-pub use spy::SpyActor;
-pub use trojan::TrojanActor;
+pub use spy::TimedProbe;
+pub use trojan::EvictionSweep;
 pub use wide::{WideOutcome, WideSession};
+pub use windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};

@@ -10,130 +10,81 @@
 //! channel drowns in access-latency variance. That failure is the paper's
 //! motivation for reversing the roles.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, CoreHandle, StepOutcome};
+use mee_machine::{run_actor_refs, ActorRef, CoreHandle};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::ChannelConfig;
 use crate::channel::message::BitErrors;
+use crate::channel::session::find_conflicting;
+use crate::channel::windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};
 use crate::recon::eviction::find_eviction_set;
 use crate::setup::AttackSetup;
 use crate::threshold::LatencyClassifier;
 
-/// The trojan of the baseline: touches one address per `1` window.
+/// The baseline trojan's action: touches one address per `1` window (also
+/// the LLC channel's trojan).
 #[derive(Debug)]
-pub struct PpTrojanActor {
+pub struct MidWindowTouch {
     target: VirtAddr,
     bits: Vec<bool>,
-    window: Cycles,
-    start: Cycles,
-    state: PpTrojanState,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PpTrojanState {
-    WaitStart,
-    BitStart(usize),
-    Touch(usize),
-    WaitWindowEnd(usize),
+impl MidWindowTouch {
+    /// Creates the baseline trojan's action, sending `bits` one per window.
+    pub fn new(target: VirtAddr, bits: Vec<bool>) -> Self {
+        MidWindowTouch { target, bits }
+    }
 }
 
-impl PpTrojanActor {
-    /// Creates the baseline trojan.
-    pub fn new(target: VirtAddr, bits: Vec<bool>, window: Cycles, start: Cycles) -> Self {
-        PpTrojanActor {
-            target,
-            bits,
-            window,
-            start,
-            state: PpTrojanState::WaitStart,
+impl WindowAction for MidWindowTouch {
+    const LEAD_IN: bool = true;
+
+    fn step(&mut self, at: Slot, cpu: &mut CoreHandle<'_>) -> Result<Flow, ModelError> {
+        if at.k == 0 {
+            if !self.bits[at.i] {
+                return Ok(Flow::Idle);
+            }
+            // Touch mid-window, after the spy's (long, ~4000-cycle) probe
+            // sweep of this window has drained — otherwise the eviction
+            // lands *inside* the running sweep and the baseline's window
+            // alignment becomes accidental.
+            cpu.busy_until(at.start + at.len / 2);
+            return Ok(Flow::Continue);
         }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-}
-
-impl Actor for PpTrojanActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            PpTrojanState::WaitStart => {
-                cpu.busy_until(self.start);
-                self.state = PpTrojanState::BitStart(0);
-            }
-            PpTrojanState::BitStart(i) => {
-                if i >= self.bits.len() {
-                    return Ok(StepOutcome::Done);
-                }
-                if self.bits[i] {
-                    // Touch mid-window, after the spy's (long, ~4000-cycle)
-                    // probe sweep of this window has drained — otherwise the
-                    // eviction lands *inside* the running sweep and the
-                    // baseline's window alignment becomes accidental.
-                    cpu.busy_until(self.window_start(i) + self.window / 2);
-                    self.state = PpTrojanState::Touch(i);
-                } else {
-                    cpu.busy_until(self.window_start(i + 1));
-                    self.state = PpTrojanState::BitStart(i + 1);
-                }
-            }
-            PpTrojanState::Touch(i) => {
-                cpu.read(self.target)?;
-                cpu.clflush(self.target)?;
-                cpu.mfence();
-                self.state = PpTrojanState::WaitWindowEnd(i);
-            }
-            PpTrojanState::WaitWindowEnd(i) => {
-                cpu.busy_until(self.window_start(i + 1));
-                self.state = PpTrojanState::BitStart(i + 1);
-            }
-        }
-        Ok(StepOutcome::Running)
+        cpu.read(self.target)?;
+        cpu.clflush(self.target)?;
+        cpu.mfence();
+        Ok(Flow::Wait)
     }
 }
 
-/// The spy of the baseline: probes the *whole* eviction set each window,
-/// timing the total sweep.
+/// The baseline spy's action: probes the *whole* eviction set at each
+/// boundary, timing the total sweep. The MEE baseline flushes each line
+/// after reading it; the LLC channel does not (classic Prime+Probe relies
+/// on conflict misses).
 #[derive(Debug)]
-pub struct PpSpyActor {
+pub struct SetProbe {
     eviction_set: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    bits: usize,
-    state: PpSpyState,
+    flush: bool,
     t1: Cycles,
     probe_times: Vec<Cycles>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PpSpyState {
-    WaitWindow(usize),
-    Probe(usize, usize),
-    Close(usize),
-    Finished,
-}
-
-impl PpSpyActor {
-    /// Creates the baseline spy.
+impl SetProbe {
+    /// Creates the baseline spy's action; `flush` adds a `clflush` after
+    /// every probe read.
     ///
     /// # Panics
     ///
     /// Panics if the eviction set is empty.
-    pub fn new(eviction_set: Vec<VirtAddr>, window: Cycles, start: Cycles, bits: usize) -> Self {
+    pub fn new(eviction_set: Vec<VirtAddr>, flush: bool) -> Self {
         assert!(!eviction_set.is_empty(), "eviction set must be non-empty");
-        PpSpyActor {
+        SetProbe {
             eviction_set,
-            window,
-            start,
-            bits,
-            state: PpSpyState::WaitWindow(0),
+            flush,
             t1: Cycles::ZERO,
             probe_times: Vec::new(),
         }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
     }
 
     /// Raw full-set probe durations (index 0 is the prime sweep).
@@ -152,36 +103,26 @@ impl PpSpyActor {
     }
 }
 
-impl Actor for PpSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            PpSpyState::WaitWindow(i) => {
-                if i > self.bits {
-                    self.state = PpSpyState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(i));
-                self.t1 = cpu.timer_read();
-                self.state = PpSpyState::Probe(i, 0);
-            }
-            PpSpyState::Probe(i, j) => {
-                let addr = self.eviction_set[j];
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j + 1 < self.eviction_set.len() {
-                    self.state = PpSpyState::Probe(i, j + 1);
-                } else {
-                    self.state = PpSpyState::Close(i);
-                }
-            }
-            PpSpyState::Close(i) => {
-                let t2 = cpu.timer_read();
-                self.probe_times.push(t2.saturating_sub(self.t1));
-                self.state = PpSpyState::WaitWindow(i + 1);
-            }
-            PpSpyState::Finished => return Ok(StepOutcome::Done),
+impl WindowAction for SetProbe {
+    const LEAD_IN: bool = false;
+
+    fn step(&mut self, at: Slot, cpu: &mut CoreHandle<'_>) -> Result<Flow, ModelError> {
+        // Step 0 starts the timer, 1..=n probe one way each, n+1 stops it.
+        if at.k == 0 {
+            cpu.busy_until(at.start);
+            self.t1 = cpu.timer_read();
+            return Ok(Flow::Continue);
         }
-        Ok(StepOutcome::Running)
+        if let Some(&addr) = self.eviction_set.get(at.k - 1) {
+            cpu.read(addr)?;
+            if self.flush {
+                cpu.clflush(addr)?;
+            }
+            return Ok(Flow::Continue);
+        }
+        let t2 = cpu.timer_read();
+        self.probe_times.push(t2.saturating_sub(self.t1));
+        Ok(Flow::Next)
     }
 }
 
@@ -220,10 +161,7 @@ impl PrimeProbeSession {
     /// # Errors
     ///
     /// Same conditions as [`Session::establish`](crate::channel::Session::establish).
-    pub fn establish(
-        setup: &mut AttackSetup,
-        cfg: &ChannelConfig,
-    ) -> Result<Self, ModelError> {
+    pub fn establish(setup: &mut AttackSetup, cfg: &ChannelConfig) -> Result<Self, ModelError> {
         cfg.validate()?;
         // Host-time span over the baseline's establishment, recorded at the
         // end; wall-clock only.
@@ -231,53 +169,28 @@ impl PrimeProbeSession {
         let classifier = LatencyClassifier::from_timing(&setup.machine.config().timing);
 
         // Spy builds the eviction set this time.
-        let candidates = setup.spy.candidates(cfg.trojan_candidates, cfg.agreed_offset);
+        let candidates = setup
+            .spy
+            .candidates(cfg.trojan_candidates, cfg.agreed_offset);
         let eviction_set = {
             let mut cpu = setup.spy_handle();
-            find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?
-                .eviction_set
+            find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?.eviction_set
         };
 
-        // Trojan finds one conflicting address.
+        // Trojan finds one conflicting address (the role-swapped handshake).
         let trojan_candidates = setup
             .trojan
             .candidates(cfg.spy_candidates, cfg.agreed_offset);
-        let mut target = None;
-        'search: for &candidate in &trojan_candidates {
-            let mut votes = 0usize;
-            for _ in 0..cfg.setup_reps {
-                setup.sync_clocks();
-                {
-                    let mut trojan = setup.trojan_handle();
-                    trojan.read(candidate)?;
-                    trojan.clflush(candidate)?;
-                    trojan.mfence();
-                }
-                setup.sync_clocks();
-                {
-                    let mut spy = setup.spy_handle();
-                    let _ = spy.sweep_read_flush(&eviction_set)?;
-                    spy.mfence();
-                    let _ = spy.sweep_read_flush_rev(&eviction_set)?;
-                    spy.mfence();
-                }
-                setup.sync_clocks();
-                let lat = {
-                    let mut trojan = setup.trojan_handle();
-                    let lat = trojan.read(candidate)?;
-                    trojan.clflush(candidate)?;
-                    lat
-                };
-                if classifier.is_versions_miss(lat) {
-                    votes += 1;
-                }
-            }
-            if votes * 2 > cfg.setup_reps {
-                target = Some(candidate);
-                break 'search;
-            }
-        }
-        let target = target.ok_or_else(|| ModelError::InvalidConfig {
+        let target = find_conflicting(
+            setup,
+            setup.trojan,
+            setup.spy,
+            &trojan_candidates,
+            &eviction_set,
+            &classifier,
+            cfg.setup_reps,
+        )?
+        .ok_or_else(|| ModelError::InvalidConfig {
             reason: "no conflicting trojan address found for the baseline".into(),
         })?;
 
@@ -316,35 +229,43 @@ impl PrimeProbeSession {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
+    /// Propagates machine errors; returns [`ModelError::InvalidConfig`] for
+    /// a zero window.
     pub fn transmit(
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
     ) -> Result<PrimeProbeOutcome, ModelError> {
-        let window = self.config.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = PpTrojanActor::new(self.target, bits.to_vec(), window, start);
-        let mut spy = PpSpyActor::new(self.eviction_set.clone(), window, start, bits.len());
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
+        let schedule = Schedule::agree(
+            &setup.machine,
+            setup.spy.core,
+            setup.trojan.core,
+            self.config.window,
+        )?;
+        let mut trojan = WindowedActor::new(
+            schedule,
+            bits.len(),
+            MidWindowTouch::new(self.target, bits.to_vec()),
+        );
+        let mut spy = WindowedActor::new(
+            schedule,
+            bits.len() + 1,
+            SetProbe::new(self.eviction_set.clone(), true),
+        );
         {
             let mut actors: Vec<ActorRef<'_>> = vec![
                 (setup.spy.core, setup.spy.proc, &mut spy),
                 (setup.trojan.core, setup.trojan.proc, &mut trojan),
             ];
+            let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
             run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
         }
-        let received = spy.decode(self.probe_threshold);
+        let received = spy.action().decode(self.probe_threshold);
         let errors = BitErrors::compare(bits, &received);
         Ok(PrimeProbeOutcome {
             sent: bits.to_vec(),
             received,
-            probe_times: spy.probe_times().to_vec(),
+            probe_times: spy.action().probe_times().to_vec(),
             errors,
         })
     }
@@ -359,13 +280,29 @@ mod tests {
     fn baseline_probe_times_exceed_3500_cycles() {
         let mut setup = AttackSetup::quiet(81).unwrap();
         let session = PrimeProbeSession::establish(&mut setup, &ChannelConfig::default()).unwrap();
-        let out = session
-            .transmit(&mut setup, &alternating_bits(16))
-            .unwrap();
+        let out = session.transmit(&mut setup, &alternating_bits(16)).unwrap();
         // §5.2: "a probing latency that exceeds 3500 cycles".
         for &t in &out.probe_times {
             assert!(t.raw() > 3_500, "probe time {t} below the paper's floor");
         }
+    }
+
+    #[test]
+    fn transmit_rejects_a_zero_window() {
+        let mut setup = AttackSetup::quiet(82).unwrap();
+        let session = PrimeProbeSession {
+            eviction_set: setup.spy.candidates(8, 0),
+            target: setup.trojan.candidate(0, 0),
+            config: ChannelConfig {
+                window: Cycles::ZERO,
+                ..ChannelConfig::default()
+            },
+            probe_threshold: Cycles::new(4_000),
+        };
+        assert!(matches!(
+            session.transmit(&mut setup, &[true, false]),
+            Err(ModelError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

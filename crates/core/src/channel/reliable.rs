@@ -23,6 +23,7 @@ use mee_machine::{NoopHook, StepHook};
 use mee_types::{Cycles, ModelError};
 
 use crate::channel::config::{ChannelConfig, RecoveryPolicy};
+use crate::channel::leak::{bits_to_bytes, bytes_to_bits};
 use crate::channel::session::Session;
 use crate::setup::AttackSetup;
 
@@ -39,14 +40,6 @@ pub fn crc8(bits: &[bool]) -> u8 {
     crc
 }
 
-fn byte_to_bits(b: u8) -> Vec<bool> {
-    (0..8).rev().map(|i| (b >> i) & 1 == 1).collect()
-}
-
-fn bits_to_byte(bits: &[bool]) -> u8 {
-    bits.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8)
-}
-
 /// Builds a data frame: sequence bit + `chunk` zero-padded to `chunk_len`
 /// bits + CRC-8 computed over *everything before it* — the sequence bit
 /// included, so a flipped sequence bit is caught by the CRC even when the
@@ -56,7 +49,7 @@ fn build_frame(seq: bool, chunk: &[bool], chunk_len: usize) -> Vec<bool> {
     let mut padded = chunk.to_vec();
     padded.resize(chunk_len, false);
     frame.extend_from_slice(&padded);
-    frame.extend(byte_to_bits(crc8(&frame)));
+    frame.extend(bytes_to_bits(&[crc8(&frame)]));
     frame
 }
 
@@ -65,7 +58,7 @@ fn build_frame(seq: bool, chunk: &[bool], chunk_len: usize) -> Vec<bool> {
 fn frame_is_valid(rx: &[bool], frame_len: usize, seq: bool) -> bool {
     rx.len() == frame_len && {
         let (body, crc_bits) = rx.split_at(rx.len() - 8);
-        crc8(body) == bits_to_byte(crc_bits) && body[0] == seq
+        crc8(body) == bits_to_bytes(crc_bits)[0] && body[0] == seq
     }
 }
 
@@ -247,10 +240,7 @@ impl ReliableLink {
                     // Nearest-pattern decode of the reply.
                     let r = &reply_out.received;
                     let dist = |p: &[bool; 4]| {
-                        p.iter()
-                            .zip(r.iter())
-                            .filter(|(a, b)| a != b)
-                            .count()
+                        p.iter().zip(r.iter()).filter(|(a, b)| a != b).count()
                             + p.len().saturating_sub(r.len())
                     };
                     dist(&ACK) < dist(&NAK)
@@ -304,8 +294,12 @@ impl ReliableLink {
                         .min(self.recovery.max_backoff_exp);
                     let pause = Cycles::new(self.recovery.backoff_base.raw() << exp);
                     let resume = Self::link_now(setup, &self.forward) + pause;
-                    setup.machine.preempt_until(self.forward.sender.core, resume);
-                    setup.machine.preempt_until(self.forward.receiver.core, resume);
+                    setup
+                        .machine
+                        .preempt_until(self.forward.sender.core, resume);
+                    setup
+                        .machine
+                        .preempt_until(self.forward.receiver.core, resume);
                 }
             }
         }

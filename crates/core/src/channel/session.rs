@@ -1,13 +1,14 @@
 //! Establishing and running the covert channel.
 
-use mee_machine::{run_actor_refs_hooked, ActorRef, NoopHook, StepHook};
+use mee_machine::{run_actor_refs_hooked, ActorRef, CoreHandle, NoopHook, StepHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::coding;
 use crate::channel::config::ChannelConfig;
 use crate::channel::message::BitErrors;
-use crate::channel::spy::SpyActor;
-use crate::channel::trojan::TrojanActor;
+use crate::channel::spy::TimedProbe;
+use crate::channel::trojan::EvictionSweep;
+use crate::channel::windowed::{Schedule, WindowedActor};
 use crate::recon::eviction::find_eviction_set;
 use crate::setup::{AttackSetup, Tenant};
 use crate::threshold::{AdaptiveClassifier, LatencyClassifier};
@@ -123,13 +124,60 @@ fn max_run(bits: &[bool]) -> usize {
     best
 }
 
-/// Internal helper naming the handle construction for a tenant.
-struct CoreHandleOwner;
+fn handle(setup: &mut AttackSetup, tenant: Tenant) -> CoreHandle<'_> {
+    CoreHandle::new(&mut setup.machine, tenant.core, tenant.proc)
+}
 
-impl CoreHandleOwner {
-    fn handle(setup: &mut AttackSetup, tenant: Tenant) -> mee_machine::CoreHandle<'_> {
-        mee_machine::CoreHandle::new(&mut setup.machine, tenant.core, tenant.proc)
+/// The conflict handshake of establishment: for each of `prober`'s
+/// `candidates`, `reps` times over, the prober primes the candidate, the
+/// `sweeper` sweeps `eviction_set` forward and backward (as for a `1`), and
+/// the prober re-probes. Returns the first candidate that a majority of
+/// re-probes see as a versions miss, i.e. that conflicts with the set;
+/// propagates machine errors.
+pub(crate) fn find_conflicting(
+    setup: &mut AttackSetup,
+    prober: Tenant,
+    sweeper: Tenant,
+    candidates: &[VirtAddr],
+    eviction_set: &[VirtAddr],
+    classifier: &LatencyClassifier,
+    reps: usize,
+) -> Result<Option<VirtAddr>, ModelError> {
+    for &candidate in candidates {
+        let mut votes = 0usize;
+        for _ in 0..reps {
+            setup.sync_clocks();
+            {
+                let mut cpu = handle(setup, prober);
+                cpu.read(candidate)?;
+                cpu.clflush(candidate)?;
+                cpu.mfence();
+            }
+            setup.sync_clocks();
+            {
+                let mut cpu = handle(setup, sweeper);
+                let _ = cpu.sweep_read_flush(eviction_set)?;
+                cpu.mfence();
+                let _ = cpu.sweep_read_flush_rev(eviction_set)?;
+                cpu.mfence();
+            }
+            // A miss on the re-probe means conflict.
+            setup.sync_clocks();
+            let lat = {
+                let mut cpu = handle(setup, prober);
+                let lat = cpu.read(candidate)?;
+                cpu.clflush(candidate)?;
+                lat
+            };
+            if classifier.is_versions_miss(lat) {
+                votes += 1;
+            }
+        }
+        if votes * 2 > reps {
+            return Ok(Some(candidate));
+        }
     }
+    Ok(None)
 }
 
 impl Session {
@@ -180,7 +228,7 @@ impl Session {
         // 1. The sender builds its eviction set.
         let candidates = sender.candidates(cfg.trojan_candidates, cfg.agreed_offset);
         let eviction = {
-            let mut cpu = CoreHandleOwner::handle(setup, sender);
+            let mut cpu = handle(setup, sender);
             find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?
         };
         let eviction_set = eviction.eviction_set;
@@ -191,45 +239,16 @@ impl Session {
 
         // 2. The receiver searches for its monitor address.
         let spy_candidates = receiver.candidates(cfg.spy_candidates, cfg.agreed_offset);
-        let mut monitor = None;
-        'search: for &candidate in &spy_candidates {
-            let mut votes = 0usize;
-            for _ in 0..cfg.setup_reps {
-                setup.sync_clocks();
-                // The receiver primes the candidate.
-                {
-                    let mut spy = CoreHandleOwner::handle(setup, receiver);
-                    spy.read(candidate)?;
-                    spy.clflush(candidate)?;
-                    spy.mfence();
-                }
-                // The sender sweeps (forward + backward, as for a '1').
-                setup.sync_clocks();
-                {
-                    let mut trojan = CoreHandleOwner::handle(setup, sender);
-                    let _ = trojan.sweep_read_flush(&eviction_set)?;
-                    trojan.mfence();
-                    let _ = trojan.sweep_read_flush_rev(&eviction_set)?;
-                    trojan.mfence();
-                }
-                // The receiver re-probes: a miss means conflict.
-                setup.sync_clocks();
-                let lat = {
-                    let mut spy = CoreHandleOwner::handle(setup, receiver);
-                    let lat = spy.read(candidate)?;
-                    spy.clflush(candidate)?;
-                    lat
-                };
-                if classifier.is_versions_miss(lat) {
-                    votes += 1;
-                }
-            }
-            if votes * 2 > cfg.setup_reps {
-                monitor = Some(candidate);
-                break 'search;
-            }
-        }
-        let monitor = monitor.ok_or_else(|| ModelError::InvalidConfig {
+        let monitor = find_conflicting(
+            setup,
+            receiver,
+            sender,
+            &spy_candidates,
+            &eviction_set,
+            &classifier,
+            cfg.setup_reps,
+        )?
+        .ok_or_else(|| ModelError::InvalidConfig {
             reason: format!(
                 "no monitor address among {} spy candidates conflicts with the \
                  trojan's eviction set; increase spy_candidates",
@@ -237,7 +256,9 @@ impl Session {
             ),
         })?;
         let t2 = setup.machine.core_now(receiver.core);
-        setup.machine.trace_phase("monitor_found", monitor.raw(), t2);
+        setup
+            .machine
+            .trace_phase("monitor_found", monitor.raw(), t2);
         setup
             .machine
             .obs_mut()
@@ -259,7 +280,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
+    /// Propagates machine errors; returns [`ModelError::InvalidConfig`] for
+    /// a zero `config.window`.
     pub fn transmit(
         &self,
         setup: &mut AttackSetup,
@@ -273,7 +295,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
+    /// Same conditions as [`Self::transmit`].
     pub fn transmit_with_noise(
         &self,
         setup: &mut AttackSetup,
@@ -290,7 +312,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors, including errors raised by the hook.
+    /// Same conditions as [`Self::transmit`], plus errors raised by the hook.
     pub fn transmit_hooked(
         &self,
         setup: &mut AttackSetup,
@@ -298,35 +320,37 @@ impl Session {
         noise: &mut [ActorRef<'_>],
         hook: &mut dyn StepHook,
     ) -> Result<TransmitOutcome, ModelError> {
-        let window = self.config.window;
         // Host-time span over the wire transmission; like "establish",
         // wall-clock only and recorded at the end.
         let host_start = std::time::Instant::now();
         // Agree on a start boundary comfortably after both clocks.
-        let now = setup
-            .machine
-            .core_now(self.receiver.core)
-            .max(setup.machine.core_now(self.sender.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
+        let schedule = Schedule::agree(
+            &setup.machine,
+            self.receiver.core,
+            self.sender.core,
+            self.config.window,
+        )?;
 
-        let mut trojan = TrojanActor::with_rotation(
+        let sweep = EvictionSweep::new(
             self.eviction_set.clone(),
             bits.to_vec(),
-            window,
-            start,
             self.config.strategy,
             self.config.rotate_sweep,
         );
+        let mut trojan = WindowedActor::new(schedule, bits.len(), sweep);
         let timer_classifier = LatencyClassifier {
-            threshold: self.classifier.threshold,
             bias: setup.machine.config().timing.timer_read,
+            ..self.classifier
         };
-        let mut spy = SpyActor::new(self.monitor, window, start, bits.len(), timer_classifier);
+        let guard = Cycles::new((schedule.window.raw() / 10).clamp(400, 1_200));
+        let probe = TimedProbe::new(vec![self.monitor], guard, timer_classifier);
+        // One prime probe, then one probe per data window.
+        let mut spy = WindowedActor::new(schedule, bits.len() + 1, probe);
 
-        let horizon = start + window * (bits.len() as u64 + 3) + Cycles::new(100_000);
+        let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
         setup
             .machine
-            .trace_phase("transmit_start", bits.len() as u64, start);
+            .trace_phase("transmit_start", bits.len() as u64, schedule.start);
         {
             let mut actors: Vec<ActorRef<'_>> = vec![
                 (self.receiver.core, self.receiver.proc, &mut spy),
@@ -347,19 +371,16 @@ impl Session {
             .obs_mut()
             .host
             .record("transmit", host_start.elapsed());
-        let received = spy.decoded_bits();
+        let received = spy.action().decoded_bits();
         let errors = BitErrors::compare(bits, &received);
-        let elapsed = window * (bits.len() as u64 + 1);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
         Ok(TransmitOutcome {
             sent: bits.to_vec(),
             received,
-            probe_times: spy.probe_times().to_vec(),
+            probe_times: spy.action().probe_times().to_vec(),
             errors,
-            elapsed,
-            kbps,
-            one_costs: trojan.one_costs().to_vec(),
+            elapsed: schedule.elapsed(bits.len()),
+            kbps: schedule.kbps(&setup.machine, bits.len(), bits.len()),
+            one_costs: trojan.action().one_costs().to_vec(),
         })
     }
 
@@ -387,7 +408,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors, including errors raised by the hook.
+    /// Same conditions as [`Self::transmit_hooked`].
     pub fn transmit_robust(
         &self,
         setup: &mut AttackSetup,
@@ -449,10 +470,9 @@ impl Session {
             // Unrecoverable: best-effort decode at offset 0 so the caller
             // still gets payload-shaped bits (and a CRC above will reject
             // them).
-            None => coding::hamming_decode(
-                &decoded[preamble_len.min(decoded.len())..],
-                payload.len(),
-            ),
+            None => {
+                coding::hamming_decode(&decoded[preamble_len.min(decoded.len())..], payload.len())
+            }
         };
         let errors = BitErrors::compare(payload, &received);
         setup
@@ -505,7 +525,8 @@ mod tests {
         let bits = alternating_bits(32);
         let out = session.transmit(&mut setup, &bits).unwrap();
         assert_eq!(
-            out.received, bits,
+            out.received,
+            bits,
             "noise-free transmission must be perfect: {} errors at {:?}",
             out.errors.count(),
             out.errors.positions
@@ -580,16 +601,17 @@ mod tests {
         // before the spy's probe, across the whole preamble region: every
         // probe deep-misses, the preamble decodes as a solid run of 1s,
         // and the run-length sanity check must trip.
-        let window = session.config.window;
-        let now = setup
-            .machine
-            .core_now(session.receiver.core)
-            .max(setup.machine.core_now(session.sender.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
+        let schedule = Schedule::agree(
+            &setup.machine,
+            session.receiver.core,
+            session.sender.core,
+            session.config.window,
+        )
+        .unwrap();
         let mut plan = FaultPlan::none();
-        for i in 0..10u64 {
+        for i in 0..10 {
             plan = plan.with_event(
-                start + window * i + Cycles::new(12_000),
+                schedule.boundary(i) + Cycles::new(12_000),
                 FaultKind::MeeSetThrash { set },
             );
         }
@@ -607,6 +629,26 @@ mod tests {
             !out.locked || out.resync_offset.is_some(),
             "a lock through a jammed preamble must be a re-lock"
         );
+    }
+
+    #[test]
+    fn transmit_rejects_a_zero_window() {
+        let mut setup = AttackSetup::quiet(78).unwrap();
+        let session = Session {
+            eviction_set: setup.trojan.candidates(8, 0),
+            monitor: setup.spy.candidate(0, 0),
+            config: ChannelConfig {
+                window: Cycles::ZERO,
+                ..ChannelConfig::default()
+            },
+            sender: setup.trojan,
+            receiver: setup.spy,
+            classifier: LatencyClassifier::from_timing(&setup.machine.config().timing),
+        };
+        assert!(matches!(
+            session.transmit(&mut setup, &[true, false]),
+            Err(ModelError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -1,139 +1,111 @@
 //! The spy side of Algorithm 2.
 
-use mee_machine::{Actor, CoreHandle, StepOutcome};
+use mee_machine::CoreHandle;
 use mee_types::{Cycles, ModelError, VirtAddr};
 
+use crate::channel::windowed::{Flow, Slot, WindowAction};
 use crate::threshold::LatencyClassifier;
 
-/// The receiving actor: once per window it times a single access to its
-/// *monitor address* — bracketing the load between two reads of the
-/// hyperthread timer mailbox, since `rdtsc` is unavailable in the enclave
-/// (§3, Figure 2(c)) — flushes the line, and decodes versions-hit → `0`,
-/// versions-miss → `1`. The probe itself re-primes the MEE cache for the
-/// next bit ("the probe … effectively primes the MEE cache", §5.3).
+/// The receiving action: once per window it times a single access to each
+/// of its *monitor addresses* (one per lane, 1 ..= 8) — bracketing the load
+/// between two reads of the hyperthread timer mailbox, since `rdtsc` is
+/// unavailable in the enclave (§3, Figure 2(c)) — flushes the line, and
+/// decodes versions-hit → `0`, versions-miss → `1`. The probe itself
+/// re-primes the MEE cache for the next bit ("the probe … effectively
+/// primes the MEE cache", §5.3).
 ///
-/// Phase: the probe for window `i` fires a small *guard* interval before
-/// the boundary `W(i+1)`, when the trojan's eviction for bit `i` has long
-/// finished and the trojan is idle — so the probe never queues behind the
+/// Phase: the probes for window `i` fire a *guard* interval before the
+/// boundary `W(i+1)`, when the trojan's eviction for bit `i` has long
+/// finished and the trojan is idle — so a probe never queues behind the
 /// trojan's own walks in the shared MEE pipeline. (Algorithm 2 fixes only
 /// the window length; the phase within the window is the implementer's
-/// choice.)
+/// choice.) Window 0's probe is the initial prime; probe round `r + 1`
+/// carries symbol `r`.
 #[derive(Debug)]
-pub struct SpyActor {
-    monitor: VirtAddr,
-    window: Cycles,
-    start: Cycles,
-    /// Cycles before each boundary at which the probe fires.
+pub struct TimedProbe {
+    monitors: Vec<VirtAddr>,
+    /// Cycles before each boundary at which the probes fire.
     guard: Cycles,
-    /// Number of data windows to receive (one initial prime probe is
-    /// performed before the first data window).
-    bits: usize,
     classifier: LatencyClassifier,
-    state: State,
-    probe_t1: Cycles,
-    /// Raw, de-biased probe durations, one per probe (first is the prime).
+    t1: Cycles,
+    /// De-biased probe durations, `monitors.len()` per probe round.
     probe_times: Vec<Cycles>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Waiting for the start of probe `i` (probes happen at window starts).
-    WaitWindow(usize),
-    /// Timer read done; the timed access is next.
-    Probe(usize),
-    /// Access done; close the measurement and flush.
-    Close(usize),
-    Finished,
-}
-
-impl SpyActor {
-    /// Creates the spy. `start` is the agreed first window boundary (the
-    /// prime probe happens there; data probes at each subsequent boundary).
-    pub fn new(
-        monitor: VirtAddr,
-        window: Cycles,
-        start: Cycles,
-        bits: usize,
-        classifier: LatencyClassifier,
-    ) -> Self {
-        let guard = Cycles::new((window.raw() / 10).clamp(400, 1_200));
-        SpyActor {
-            monitor,
-            window,
-            start,
+impl TimedProbe {
+    /// Creates the spy's action.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `monitors` is empty.
+    pub fn new(monitors: Vec<VirtAddr>, guard: Cycles, classifier: LatencyClassifier) -> Self {
+        assert!(!monitors.is_empty(), "at least one monitor required");
+        TimedProbe {
+            monitors,
             guard,
-            bits,
             classifier,
-            state: State::WaitWindow(0),
-            probe_t1: Cycles::ZERO,
-            probe_times: Vec::with_capacity(bits + 1),
+            t1: Cycles::ZERO,
+            probe_times: Vec::new(),
         }
     }
 
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// De-biased probe durations (index 0 is the initial prime probe).
+    /// De-biased probe durations (the first round is the initial prime).
     pub fn probe_times(&self) -> &[Cycles] {
         &self.probe_times
     }
 
-    /// Decoded data bits: probe `i + 1` carries bit `i` (the trojan evicts
-    /// during window `i`; the spy observes it at the next boundary).
+    /// Decoded flattened bits, lane-major within each symbol; the prime
+    /// round is skipped.
     pub fn decoded_bits(&self) -> Vec<bool> {
+        // probe_times are already de-biased.
         self.probe_times
             .iter()
-            .skip(1)
-            .map(|&t| {
-                // probe_times are already de-biased.
-                LatencyClassifier {
-                    threshold: self.classifier.threshold,
-                    bias: Cycles::ZERO,
-                }
-                .is_versions_miss(t)
-            })
+            .skip(self.monitors.len())
+            .map(|&t| t >= self.classifier.threshold)
             .collect()
     }
 }
 
-impl Actor for SpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            State::WaitWindow(i) => {
-                if i > self.bits {
-                    self.state = State::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                // Probe just before the boundary W(i): it observes bit i-1
-                // and re-primes the monitor line for bit i.
-                cpu.busy_until(self.window_start(i).saturating_sub(self.guard));
-                self.probe_t1 = cpu.timer_read();
-                self.state = State::Probe(i);
-            }
-            State::Probe(i) => {
-                // "measure time to access monitor address" — the access also
-                // re-primes the versions line.
-                cpu.read(self.monitor)?;
-                self.state = State::Close(i);
-            }
-            State::Close(i) => {
-                let t2 = cpu.timer_read();
-                cpu.clflush(self.monitor)?;
-                let raw = t2.saturating_sub(self.probe_t1);
-                self.probe_times.push(self.classifier.debias(raw));
-                self.state = State::WaitWindow(i + 1);
-            }
-            State::Finished => return Ok(StepOutcome::Done),
+impl WindowAction for TimedProbe {
+    const LEAD_IN: bool = false;
+
+    fn step(&mut self, at: Slot, cpu: &mut CoreHandle<'_>) -> Result<Flow, ModelError> {
+        let k = at.k;
+        if k == 0 {
+            // Probe just before the boundary W(i): it observes symbol i-1
+            // and re-primes the monitor lines for symbol i.
+            cpu.busy_until(at.start.saturating_sub(self.guard));
+            self.t1 = cpu.timer_read();
+            return Ok(Flow::Continue);
         }
-        Ok(StepOutcome::Running)
+        // Step 2l+1 is lane l's timed access, 2l+2 closes its measurement.
+        let lane = (k - 1) / 2;
+        let monitor = self.monitors[lane];
+        if k % 2 == 1 {
+            // "measure time to access monitor address" — the access also
+            // re-primes the versions line.
+            cpu.read(monitor)?;
+            return Ok(Flow::Continue);
+        }
+        let t2 = cpu.timer_read();
+        cpu.clflush(monitor)?;
+        self.probe_times
+            .push(self.classifier.debias(t2.saturating_sub(self.t1)));
+        if lane + 1 < self.monitors.len() {
+            self.t1 = cpu.timer_read();
+            Ok(Flow::Continue)
+        } else {
+            Ok(Flow::Next)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::windowed::{Schedule, WindowedActor};
     use crate::setup::AttackSetup;
+    use mee_machine::{Actor, StepOutcome};
     use mee_types::TimingConfig;
 
     #[test]
@@ -142,20 +114,23 @@ mod tests {
         let mut setup = AttackSetup::quiet(61).unwrap();
         let monitor = setup.spy.candidate(0, 0);
         let t = setup.machine.config().timing.clone();
-        let mut spy = SpyActor::new(
-            monitor,
-            Cycles::new(15_000),
-            Cycles::new(2_000),
-            8,
+        let schedule = Schedule {
+            start: Cycles::new(2_000),
+            window: Cycles::new(15_000),
+        };
+        let probe = TimedProbe::new(
+            vec![monitor],
+            Cycles::new(1_200),
             LatencyClassifier::for_timer_probes(&t),
         );
+        let mut spy = WindowedActor::new(schedule, 9, probe);
         let mut cpu = setup.spy_handle();
         while spy.step(&mut cpu).unwrap() == StepOutcome::Running {}
-        assert_eq!(spy.probe_times().len(), 9);
-        assert_eq!(spy.decoded_bits(), vec![false; 8]);
+        assert_eq!(spy.action().probe_times().len(), 9);
+        assert_eq!(spy.action().decoded_bits(), vec![false; 8]);
         // Probe durations sit near the versions-hit anchor (~480 cycles),
         // within timer quantization.
-        for &t in &spy.probe_times()[1..] {
+        for &t in &spy.action().probe_times()[1..] {
             assert!(
                 (380..=600).contains(&t.raw()),
                 "probe time {t} far from the 480-cycle anchor"
@@ -168,19 +143,21 @@ mod tests {
         let mut setup = AttackSetup::quiet(62).unwrap();
         let monitor = setup.spy.candidate(0, 0);
         let t: TimingConfig = setup.machine.config().timing.clone();
-        let window = Cycles::new(10_000);
-        let mut spy = SpyActor::new(
-            monitor,
-            window,
-            Cycles::new(5_000),
-            3,
+        let schedule = Schedule {
+            start: Cycles::new(5_000),
+            window: Cycles::new(10_000),
+        };
+        let probe = TimedProbe::new(
+            vec![monitor],
+            Cycles::new(1_000),
             LatencyClassifier::for_timer_probes(&t),
         );
+        let mut spy = WindowedActor::new(schedule, 4, probe);
         let mut cpu = setup.spy_handle();
         // Step until the first probe completes; it fires in the guard slot
         // just before the boundary, so the clock lands near (and never far
         // past) the boundary itself.
-        while spy.probe_times().is_empty() {
+        while spy.action().probe_times().is_empty() {
             spy.step(&mut cpu).unwrap();
         }
         let now = cpu.now().raw();

@@ -1,11 +1,12 @@
 //! The trojan side of Algorithm 2.
 
-use mee_machine::{Actor, CoreHandle, StepOutcome};
+use mee_machine::CoreHandle;
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::EvictionStrategy;
+use crate::channel::windowed::{Flow, Slot, WindowAction};
 
-/// The sending actor: for every `1` bit it sweeps its eviction set through
+/// The sending action: for every `1` bit it sweeps its eviction set through
 /// the MEE cache (access + `clflush` per address, forward then — under
 /// [`EvictionStrategy::TwoPhase`] — backward, as in Algorithm 2), evicting
 /// the spy's versions line; for every `0` it stays idle for the window.
@@ -18,17 +19,19 @@ use crate::channel::config::EvictionStrategy;
 /// hardware, ambient MEE traffic perturbs the replacement state and prevents
 /// the lock-in. Rotating the start point restores that behaviour without
 /// extra accesses.
+///
+/// Steps of a `1` window: one to note the start, one per forward access,
+/// one `mfence`, one per backward access, then the driver's wait for the
+/// next boundary.
 #[derive(Debug)]
-pub struct TrojanActor {
+pub struct EvictionSweep {
     eviction_set: Vec<VirtAddr>,
     bits: Vec<bool>,
-    window: Cycles,
-    start: Cycles,
     strategy: EvictionStrategy,
-    state: State,
     /// Sweep-start rotation, advanced per transmitted `1`.
     rotation: usize,
-    /// Whether rotation is enabled.
+    /// Whether rotation is enabled (the ablation bench disables it to
+    /// study the naive fixed order).
     rotate: bool,
     /// Cycles spent actively sending each `1` bit (diagnostics for the
     /// Figure-7 discussion: one `1` costs ≈ 9000 cycles).
@@ -36,19 +39,8 @@ pub struct TrojanActor {
     one_started: Cycles,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    WaitStart,
-    BitStart(usize),
-    Forward(usize, usize),
-    Fence(usize),
-    Backward(usize, usize),
-    WaitWindowEnd(usize),
-    Finished,
-}
-
-impl TrojanActor {
-    /// Creates the trojan. `start` is the agreed first window boundary.
+impl EvictionSweep {
+    /// Creates the trojan's action, sending `bits` one per window.
     ///
     /// # Panics
     ///
@@ -56,45 +48,19 @@ impl TrojanActor {
     pub fn new(
         eviction_set: Vec<VirtAddr>,
         bits: Vec<bool>,
-        window: Cycles,
-        start: Cycles,
-        strategy: EvictionStrategy,
-    ) -> Self {
-        Self::with_rotation(eviction_set, bits, window, start, strategy, true)
-    }
-
-    /// Like [`Self::new`] with explicit control over sweep-start rotation
-    /// (the ablation bench disables it to study the naive fixed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the eviction set is empty.
-    pub fn with_rotation(
-        eviction_set: Vec<VirtAddr>,
-        bits: Vec<bool>,
-        window: Cycles,
-        start: Cycles,
         strategy: EvictionStrategy,
         rotate: bool,
     ) -> Self {
         assert!(!eviction_set.is_empty(), "eviction set must be non-empty");
-        TrojanActor {
+        EvictionSweep {
             eviction_set,
             bits,
-            window,
-            start,
             strategy,
-            state: State::WaitStart,
             rotation: 0,
             rotate,
             one_costs: Vec::new(),
             one_started: Cycles::ZERO,
         }
-    }
-
-    /// Start of window `i`.
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
     }
 
     /// The `j`-th element of the current cyclic sweep order.
@@ -103,100 +69,76 @@ impl TrojanActor {
         self.eviction_set[(self.rotation + j) % n]
     }
 
+    /// Closes a `1`: records its cost, rotates the sweep start, and
+    /// waits out the window ("busy loop for remaining time of T_sync").
+    fn finish_one(&mut self, cpu: &CoreHandle<'_>) -> Flow {
+        self.one_costs.push(cpu.now() - self.one_started);
+        if self.rotate {
+            self.rotation = (self.rotation + 1) % self.eviction_set.len();
+        }
+        Flow::Wait
+    }
+
     /// Per-`1` active sending costs observed so far.
     pub fn one_costs(&self) -> &[Cycles] {
         &self.one_costs
     }
 }
 
-impl Actor for TrojanActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            State::WaitStart => {
-                cpu.busy_until(self.start);
-                self.state = State::BitStart(0);
+impl WindowAction for EvictionSweep {
+    const LEAD_IN: bool = true;
+
+    fn step(&mut self, at: Slot, cpu: &mut CoreHandle<'_>) -> Result<Flow, ModelError> {
+        let (n, k) = (self.eviction_set.len(), at.k);
+        if k == 0 {
+            if !self.bits[at.i] {
+                // Algorithm 2: "busy loop for time T_sync".
+                return Ok(Flow::Idle);
             }
-            State::BitStart(i) => {
-                if i >= self.bits.len() {
-                    self.state = State::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                if self.bits[i] {
-                    self.one_started = cpu.now();
-                    self.state = State::Forward(i, 0);
-                } else {
-                    // Algorithm 2: "busy loop for time T_sync".
-                    cpu.busy_until(self.window_start(i + 1));
-                    self.state = State::BitStart(i + 1);
-                }
-            }
-            State::Forward(i, j) => {
-                let addr = self.sweep_addr(j);
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j + 1 < self.eviction_set.len() {
-                    self.state = State::Forward(i, j + 1);
-                } else {
-                    self.state = State::Fence(i);
-                }
-            }
-            State::Fence(i) => {
-                cpu.mfence();
-                match self.strategy {
-                    EvictionStrategy::TwoPhase => {
-                        self.state = State::Backward(i, self.eviction_set.len() - 1);
-                    }
-                    EvictionStrategy::ForwardOnly => {
-                        self.one_costs.push(cpu.now() - self.one_started);
-                        if self.rotate {
-                            self.rotation = (self.rotation + 1) % self.eviction_set.len();
-                        }
-                        self.state = State::WaitWindowEnd(i);
-                    }
-                }
-            }
-            State::Backward(i, j) => {
-                let addr = self.sweep_addr(j);
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j > 0 {
-                    self.state = State::Backward(i, j - 1);
-                } else {
-                    self.one_costs.push(cpu.now() - self.one_started);
-                    if self.rotate {
-                        self.rotation = (self.rotation + 1) % self.eviction_set.len();
-                    }
-                    self.state = State::WaitWindowEnd(i);
-                }
-            }
-            State::WaitWindowEnd(i) => {
-                // "busy loop for remaining time of T_sync".
-                cpu.busy_until(self.window_start(i + 1));
-                self.state = State::BitStart(i + 1);
-            }
-            State::Finished => return Ok(StepOutcome::Done),
+            self.one_started = cpu.now();
+            return Ok(Flow::Continue);
         }
-        Ok(StepOutcome::Running)
+        // Steps 1..=n sweep forward, n+1 fences, n+2..=2n+1 sweep backward.
+        if k == n + 1 {
+            cpu.mfence();
+            return Ok(match self.strategy {
+                EvictionStrategy::TwoPhase => Flow::Continue,
+                EvictionStrategy::ForwardOnly => self.finish_one(cpu),
+            });
+        }
+        let addr = self.sweep_addr(if k <= n { k - 1 } else { 2 * n + 1 - k });
+        cpu.read(addr)?;
+        cpu.clflush(addr)?;
+        Ok(if k == 2 * n + 1 {
+            self.finish_one(cpu)
+        } else {
+            Flow::Continue
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::windowed::{Schedule, WindowedActor};
     use crate::setup::AttackSetup;
-    use mee_machine::{run_actors, ActorBinding};
+    use mee_machine::{run_actors, Actor, ActorBinding, StepOutcome};
+
+    fn schedule(start: u64, window: u64) -> Schedule {
+        Schedule {
+            start: Cycles::new(start),
+            window: Cycles::new(window),
+        }
+    }
 
     #[test]
     fn zero_bits_cost_nothing_but_time() {
         let mut setup = AttackSetup::quiet(51).unwrap();
         let addrs = setup.trojan.candidates(8, 0);
-        let window = Cycles::new(15_000);
-        let trojan = TrojanActor::new(
-            addrs,
-            vec![false, false, false],
-            window,
-            Cycles::new(1_000),
-            EvictionStrategy::TwoPhase,
+        let trojan = WindowedActor::new(
+            schedule(1_000, 15_000),
+            3,
+            EvictionSweep::new(addrs, vec![false; 3], EvictionStrategy::TwoPhase, true),
         );
         let reads_before = setup.machine.mee().stats().reads;
         let mut bindings = vec![ActorBinding {
@@ -223,18 +165,17 @@ mod tests {
             }
         }
         let start = setup.machine.core_now(setup.trojan.core) + Cycles::new(1_000);
-        let mut trojan = TrojanActor::new(
-            addrs,
-            vec![true, true, true, true],
-            Cycles::new(15_000),
-            start,
-            EvictionStrategy::TwoPhase,
+        let mut trojan = WindowedActor::new(
+            schedule(start.raw(), 15_000),
+            4,
+            EvictionSweep::new(addrs, vec![true; 4], EvictionStrategy::TwoPhase, true),
         );
         // Single actor: drive it directly, no scheduler needed.
         let mut cpu = setup.trojan_handle();
         while trojan.step(&mut cpu).unwrap() == StepOutcome::Running {}
-        assert_eq!(trojan.one_costs().len(), 4);
-        for &c in trojan.one_costs() {
+        let costs = trojan.action().one_costs();
+        assert_eq!(costs.len(), 4);
+        for &c in costs {
             assert!(
                 (7_000..=12_000).contains(&c.raw()),
                 "one-bit cost {c} outside the §5.4 ballpark"
@@ -245,12 +186,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_eviction_set_rejected() {
-        let _ = TrojanActor::new(
-            Vec::new(),
-            vec![true],
-            Cycles::new(100),
-            Cycles::ZERO,
-            EvictionStrategy::TwoPhase,
-        );
+        let _ = EvictionSweep::new(Vec::new(), vec![true], EvictionStrategy::TwoPhase, true);
     }
 }

@@ -14,12 +14,14 @@
 //! share one setup. The [`wide` experiment](crate::experiments::wide)
 //! quantifies the trade-off.
 
-use mee_machine::{run_actor_refs, Actor, ActorRef, CoreHandle, StepOutcome};
+use mee_machine::{run_actor_refs, ActorRef, CoreHandle};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::ChannelConfig;
 use crate::channel::message::BitErrors;
 use crate::channel::session::Session;
+use crate::channel::spy::TimedProbe;
+use crate::channel::windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};
 use crate::setup::AttackSetup;
 use crate::threshold::LatencyClassifier;
 
@@ -105,7 +107,8 @@ impl WideSession {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors.
+    /// Propagates machine errors; returns [`ModelError::InvalidConfig`] for
+    /// a zero window.
     pub fn transmit(
         &self,
         setup: &mut AttackSetup,
@@ -116,46 +119,37 @@ impl WideSession {
         let mut padded = bits.to_vec();
         padded.resize(symbols * lanes, false);
 
-        let window = self.window;
-        let now = setup
-            .machine
-            .core_now(setup.spy.core)
-            .max(setup.machine.core_now(setup.trojan.core));
-        let start = Cycles::new((now.raw() / window.raw() + 3) * window.raw());
-
-        let mut trojan = WideTrojanActor::new(
-            self.lanes.iter().map(|l| l.eviction_set.clone()).collect(),
-            padded.clone(),
-            lanes,
-            window,
-            start,
-        );
+        let schedule = Schedule::agree(
+            &setup.machine,
+            setup.spy.core,
+            setup.trojan.core,
+            self.window,
+        )?;
+        let lane_sets = self.lanes.iter().map(|l| l.eviction_set.clone()).collect();
+        let mut trojan = WindowedActor::new(schedule, symbols, LaneSweep::new(lane_sets, padded));
         let timer_classifier = LatencyClassifier {
-            threshold: self.classifier.threshold,
             bias: setup.machine.config().timing.timer_read,
+            ..self.classifier
         };
-        let mut spy = WideSpyActor::new(
-            self.lanes.iter().map(|l| l.monitor).collect(),
-            window,
-            start,
-            symbols,
-            timer_classifier,
+        let guard = Cycles::new((lanes as u64 * 800 + 400).min(self.window.raw() / 2));
+        let monitors = self.lanes.iter().map(|l| l.monitor).collect();
+        let mut spy = WindowedActor::new(
+            schedule,
+            symbols + 1,
+            TimedProbe::new(monitors, guard, timer_classifier),
         );
-
-        let horizon = start + window * (symbols as u64 + 3) + Cycles::new(200_000);
         {
             let mut actors: Vec<ActorRef<'_>> = vec![
                 (setup.spy.core, setup.spy.proc, &mut spy),
                 (setup.trojan.core, setup.trojan.proc, &mut trojan),
             ];
+            let horizon = schedule.horizon(symbols, Cycles::new(200_000));
             run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
         }
-        let mut received = spy.decoded_bits();
+        let mut received = spy.action().decoded_bits();
         received.truncate(bits.len());
         let errors = BitErrors::compare(bits, &received);
-        let clock_hz = setup.machine.config().timing.clock_hz();
-        let elapsed = window * (symbols as u64 + 1);
-        let kbps = (bits.len() as f64 / 8.0) / elapsed.to_seconds(clock_hz) / 1000.0;
+        let kbps = schedule.kbps(&setup.machine, bits.len(), symbols);
         Ok(WideOutcome {
             sent: bits.to_vec(),
             received,
@@ -165,224 +159,89 @@ impl WideSession {
     }
 }
 
-/// The multi-lane trojan: per window, sweeps the eviction set of every lane
-/// whose bit is `1` (forward then backward, rotating starts).
+/// The multi-lane trojan's action: per window, sweeps the eviction set of
+/// every lane whose bit is `1` (forward, `mfence`, backward, rotating
+/// starts). Unlike [`EvictionSweep`](crate::channel::EvictionSweep), the
+/// fence rides on the last forward access's step.
 #[derive(Debug)]
-pub struct WideTrojanActor {
+pub struct LaneSweep {
     lane_sets: Vec<Vec<VirtAddr>>,
     bits: Vec<bool>,
-    lanes: usize,
-    window: Cycles,
-    start: Cycles,
-    state: WtState,
     rotation: usize,
+    /// The lane being swept and the position in its forward-then-backward
+    /// order (`0 .. 2n`).
+    lane: usize,
+    pos: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WtState {
-    WaitStart,
-    SymbolStart(usize),
-    /// (symbol, lane, phase 0=fwd 1=bwd, index)
-    Sweep(usize, usize, u8, usize),
-    WaitWindowEnd(usize),
-}
-
-impl WideTrojanActor {
-    /// Creates the multi-lane trojan.
+impl LaneSweep {
+    /// Creates the multi-lane trojan's action, sending `bits` as symbols of
+    /// `lane_sets.len()` bits, one per window.
     ///
     /// # Panics
     ///
     /// Panics if any lane's eviction set is empty or `bits.len()` is not a
     /// multiple of the lane count.
-    pub fn new(
-        lane_sets: Vec<Vec<VirtAddr>>,
-        bits: Vec<bool>,
-        lanes: usize,
-        window: Cycles,
-        start: Cycles,
-    ) -> Self {
+    pub fn new(lane_sets: Vec<Vec<VirtAddr>>, bits: Vec<bool>) -> Self {
         assert!(lane_sets.iter().all(|s| !s.is_empty()), "empty lane set");
-        assert_eq!(lane_sets.len(), lanes, "lane count mismatch");
-        assert_eq!(bits.len() % lanes, 0, "bits must fill whole symbols");
-        WideTrojanActor {
+        assert_eq!(
+            bits.len() % lane_sets.len(),
+            0,
+            "bits must fill whole symbols"
+        );
+        LaneSweep {
             lane_sets,
             bits,
-            lanes,
-            window,
-            start,
-            state: WtState::WaitStart,
             rotation: 0,
+            lane: 0,
+            pos: 0,
         }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    fn bit(&self, symbol: usize, lane: usize) -> bool {
-        self.bits[symbol * self.lanes + lane]
     }
 
     /// First active lane at or after `lane` in `symbol`, if any.
     fn next_active(&self, symbol: usize, lane: usize) -> Option<usize> {
-        (lane..self.lanes).find(|&l| self.bit(symbol, l))
+        let lanes = self.lane_sets.len();
+        (lane..lanes).find(|&l| self.bits[symbol * lanes + l])
     }
 }
 
-impl Actor for WideTrojanActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            WtState::WaitStart => {
-                cpu.busy_until(self.start);
-                self.state = WtState::SymbolStart(0);
+impl WindowAction for LaneSweep {
+    const LEAD_IN: bool = true;
+
+    fn step(&mut self, at: Slot, cpu: &mut CoreHandle<'_>) -> Result<Flow, ModelError> {
+        if at.k > 0 {
+            let set = &self.lane_sets[self.lane];
+            let n = set.len();
+            let idx = if self.pos < n {
+                (self.rotation + self.pos) % n
+            } else {
+                (self.rotation + (2 * n - 1 - self.pos)) % n
+            };
+            cpu.read(set[idx])?;
+            cpu.clflush(set[idx])?;
+            self.pos += 1;
+            if self.pos == n {
+                cpu.mfence();
             }
-            WtState::SymbolStart(s) => {
-                if s * self.lanes >= self.bits.len() {
-                    return Ok(StepOutcome::Done);
-                }
-                match self.next_active(s, 0) {
-                    Some(lane) => self.state = WtState::Sweep(s, lane, 0, 0),
-                    None => {
-                        cpu.busy_until(self.window_start(s + 1));
-                        self.state = WtState::SymbolStart(s + 1);
-                    }
-                }
-            }
-            WtState::Sweep(s, lane, phase, j) => {
-                let set = &self.lane_sets[lane];
-                let n = set.len();
-                let idx = if phase == 0 {
-                    (self.rotation + j) % n
-                } else {
-                    (self.rotation + (n - 1 - j)) % n
-                };
-                let addr = set[idx];
-                cpu.read(addr)?;
-                cpu.clflush(addr)?;
-                if j + 1 < n {
-                    self.state = WtState::Sweep(s, lane, phase, j + 1);
-                } else if phase == 0 {
-                    cpu.mfence();
-                    self.state = WtState::Sweep(s, lane, 1, 0);
-                } else {
-                    // Lane done; next active lane or wait out the window.
-                    match self.next_active(s, lane + 1) {
-                        Some(next) => self.state = WtState::Sweep(s, next, 0, 0),
-                        None => {
-                            self.rotation = self.rotation.wrapping_add(1);
-                            self.state = WtState::WaitWindowEnd(s);
-                        }
-                    }
-                }
-            }
-            WtState::WaitWindowEnd(s) => {
-                cpu.busy_until(self.window_start(s + 1));
-                self.state = WtState::SymbolStart(s + 1);
+            if self.pos < 2 * n {
+                return Ok(Flow::Continue);
             }
         }
-        Ok(StepOutcome::Running)
-    }
-}
-
-/// The multi-lane spy: probes every lane's monitor address in the guard
-/// slot before each boundary.
-#[derive(Debug)]
-pub struct WideSpyActor {
-    monitors: Vec<VirtAddr>,
-    window: Cycles,
-    start: Cycles,
-    guard: Cycles,
-    symbols: usize,
-    classifier: LatencyClassifier,
-    state: WsState,
-    t1: Cycles,
-    /// De-biased probe times, `monitors.len()` per probe round.
-    probe_times: Vec<Cycles>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WsState {
-    WaitWindow(usize),
-    /// (round, lane) — timer read done for this lane.
-    Probe(usize, usize),
-    Close(usize, usize),
-    Finished,
-}
-
-impl WideSpyActor {
-    /// Creates the multi-lane spy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `monitors` is empty.
-    pub fn new(
-        monitors: Vec<VirtAddr>,
-        window: Cycles,
-        start: Cycles,
-        symbols: usize,
-        classifier: LatencyClassifier,
-    ) -> Self {
-        assert!(!monitors.is_empty(), "at least one monitor required");
-        let guard = Cycles::new((monitors.len() as u64 * 800 + 400).min(window.raw() / 2));
-        WideSpyActor {
-            monitors,
-            window,
-            start,
-            guard,
-            symbols,
-            classifier,
-            state: WsState::WaitWindow(0),
-            t1: Cycles::ZERO,
-            probe_times: Vec::new(),
+        // Window entered or lane done: sweep the next active lane, or wait
+        // out the window.
+        let from = if at.k == 0 { 0 } else { self.lane + 1 };
+        match self.next_active(at.i, from) {
+            Some(lane) => {
+                self.lane = lane;
+                self.pos = 0;
+                Ok(Flow::Continue)
+            }
+            None if at.k == 0 => Ok(Flow::Idle),
+            None => {
+                self.rotation = self.rotation.wrapping_add(1);
+                Ok(Flow::Wait)
+            }
         }
-    }
-
-    fn window_start(&self, i: usize) -> Cycles {
-        self.start + self.window * i as u64
-    }
-
-    /// Decoded flattened bits: probe round `r + 1` carries symbol `r`.
-    pub fn decoded_bits(&self) -> Vec<bool> {
-        let lanes = self.monitors.len();
-        self.probe_times
-            .iter()
-            .skip(lanes) // the prime round
-            .map(|&t| t >= self.classifier.threshold)
-            .collect()
-    }
-}
-
-impl Actor for WideSpyActor {
-    fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
-        match self.state {
-            WsState::WaitWindow(r) => {
-                if r > self.symbols {
-                    self.state = WsState::Finished;
-                    return Ok(StepOutcome::Done);
-                }
-                cpu.busy_until(self.window_start(r).saturating_sub(self.guard));
-                self.t1 = cpu.timer_read();
-                self.state = WsState::Probe(r, 0);
-            }
-            WsState::Probe(r, lane) => {
-                cpu.read(self.monitors[lane])?;
-                self.state = WsState::Close(r, lane);
-            }
-            WsState::Close(r, lane) => {
-                let t2 = cpu.timer_read();
-                cpu.clflush(self.monitors[lane])?;
-                self.probe_times
-                    .push(self.classifier.debias(t2.saturating_sub(self.t1)));
-                if lane + 1 < self.monitors.len() {
-                    self.t1 = cpu.timer_read();
-                    self.state = WsState::Probe(r, lane + 1);
-                } else {
-                    self.state = WsState::WaitWindow(r + 1);
-                }
-            }
-            WsState::Finished => return Ok(StepOutcome::Done),
-        }
-        Ok(StepOutcome::Running)
     }
 }
 
@@ -441,6 +300,24 @@ mod tests {
             wide_out.kbps,
             single_out.kbps
         );
+    }
+
+    #[test]
+    fn transmit_rejects_a_zero_window() {
+        let mut setup = AttackSetup::quiet(505).unwrap();
+        let wide = WideSession {
+            lanes: vec![Lane {
+                eviction_set: setup.trojan.candidates(8, 0),
+                monitor: setup.spy.candidate(0, 0),
+                offset: 0,
+            }],
+            window: Cycles::ZERO,
+            classifier: LatencyClassifier::from_timing(&setup.machine.config().timing),
+        };
+        assert!(matches!(
+            wide.transmit(&mut setup, &[true, false]),
+            Err(ModelError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **The covert channel** (paper §5): the Prime+Probe baseline that fails
 //!   over the MEE cache ([`channel::prime_probe`], Figure 6a), and the
 //!   paper's role-reversed single-way channel of Algorithm 2
-//!   ([`channel::TrojanActor`] / [`channel::SpyActor`], Figure 6b), plus framing and
+//!   ([`channel::EvictionSweep`] / [`channel::TimedProbe`], Figure 6b), plus framing and
 //!   error-correction extensions ([`channel::coding`]);
 //! * **Noise programs** standing in for the paper's co-located workloads and
 //!   `stress-ng` ([`noise`], Figure 8);

@@ -73,7 +73,9 @@ fn fig5_latency_histogram_matches_snapshot() {
     // The latency histogram itself, 40-cycle buckets (the figure's x-axis).
     let mut buckets = std::collections::BTreeMap::new();
     for sample in &pooled.samples {
-        *buckets.entry(sample.latency.raw() / 40 * 40).or_insert(0u32) += 1;
+        *buckets
+            .entry(sample.latency.raw() / 40 * 40)
+            .or_insert(0u32) += 1;
     }
     for (lo, count) in buckets {
         writeln!(s, "bucket {lo} count {count}").unwrap();
@@ -85,7 +87,12 @@ fn fig5_latency_histogram_matches_snapshot() {
 fn fig6_ber_table_matches_snapshot() {
     let r = run_fig6_with(testbed::SEED, 24, &ChannelConfig::sweep_setup()).unwrap();
     let mut s = String::new();
-    writeln!(s, "# fig6 seed={} bits=24 profile=sweep_setup", testbed::SEED).unwrap();
+    writeln!(
+        s,
+        "# fig6 seed={} bits=24 profile=sweep_setup",
+        testbed::SEED
+    )
+    .unwrap();
     writeln!(
         s,
         "prime_probe bits {} errors {} rate {:.4}",
@@ -113,7 +120,13 @@ fn fig6_ber_table_matches_snapshot() {
     {
         writeln!(s, "pp bit {i} sent {} got {}", sent as u8, got as u8).unwrap();
     }
-    for (i, (&sent, &got)) in r.this_work.sent.iter().zip(&r.this_work.received).enumerate() {
+    for (i, (&sent, &got)) in r
+        .this_work
+        .sent
+        .iter()
+        .zip(&r.this_work.received)
+        .enumerate()
+    {
         writeln!(s, "ours bit {i} sent {} got {}", sent as u8, got as u8).unwrap();
     }
     check_golden("fig6_ber_table.txt", &s);
@@ -172,4 +185,68 @@ fn event_trace_matches_snapshot() {
         writeln!(s, "{line}").unwrap();
     }
     check_golden("event_trace.txt", &s);
+}
+
+/// Pins the two channels no figure golden covers: the LLC Prime+Probe
+/// channel (quiet and noisy machine) and the multi-lane wide channel (2 and
+/// 4 lanes). Per run: the FNV-64 hash of the received bits, the final spy
+/// and trojan core clocks, and the MEE and LLC statistics — so a shifted
+/// step, access or flush anywhere in either channel's actors is a diff.
+#[test]
+fn channels_match_snapshot() {
+    use mee_covert::attack::channel::llc::LlcSession;
+    use mee_covert::attack::channel::{random_bits, WideSession};
+    use mee_covert::attack::setup::AttackSetup;
+    use mee_covert::types::Cycles;
+
+    fn record(s: &mut String, label: &str, setup: &AttackSetup, received: &[bool]) {
+        let bytes: Vec<u8> = received.iter().map(|&b| u8::from(b)).collect();
+        let mee = setup.machine.mee().stats();
+        let llc = setup.machine.llc().stats();
+        writeln!(
+            s,
+            "{label} bits {} fnv64 {:016x} spy_clock {} trojan_clock {}",
+            received.len(),
+            fnv64(&bytes),
+            setup.machine.core_now(setup.spy.core).raw(),
+            setup.machine.core_now(setup.trojan.core).raw()
+        )
+        .unwrap();
+        writeln!(
+            s,
+            "{label} mee reads {} writes {} hits_by_level {:?}",
+            mee.reads, mee.writes, mee.hits_by_level
+        )
+        .unwrap();
+        writeln!(
+            s,
+            "{label} llc hits {} misses {} evictions {} invalidations {}",
+            llc.hits, llc.misses, llc.evictions, llc.invalidations
+        )
+        .unwrap();
+    }
+
+    let seed = testbed::SEED;
+    let mut s = String::new();
+    writeln!(s, "# channels seed={seed}").unwrap();
+    for (label, quiet) in [("llc_quiet", true), ("llc_noisy", false)] {
+        let mut setup = if quiet {
+            AttackSetup::quiet(seed).unwrap()
+        } else {
+            AttackSetup::new(seed).unwrap()
+        };
+        let session = LlcSession::establish(&mut setup, Cycles::new(4_000)).unwrap();
+        let out = session
+            .transmit(&mut setup, &random_bits(128, seed))
+            .unwrap();
+        record(&mut s, label, &setup, &out.received);
+    }
+    for lanes in [2, 4] {
+        let mut setup = AttackSetup::new(seed).unwrap();
+        let wide =
+            WideSession::establish(&mut setup, &ChannelConfig::sweep_setup(), lanes).unwrap();
+        let out = wide.transmit(&mut setup, &random_bits(64, seed)).unwrap();
+        record(&mut s, &format!("wide{lanes}"), &setup, &out.received);
+    }
+    check_golden("channels.txt", &s);
 }
