@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \
@@ -28,15 +28,14 @@ cargo run --release --offline -p mee-spec -- --tier exhaustive --budget full
 echo "== spec: property tier"
 cargo run --release --offline -p mee-spec -- --tier property
 
-# Smoke-run the parallel seed-sweep bench (2 sessions via MEE_BENCH_SAMPLES
-# has no effect here; scale 1 = 4 sessions, 64 bits each) and hold the
-# BENCH_sweep.json aggregate to its schema: a missing key means a consumer
-# diffing the trajectory across commits silently loses that series.
+# Smoke-run the parallel seed-sweep bench (scale 1 = 4 sessions, 64 bits
+# each) and hold the BENCH_sweep.json aggregate to its schema: a missing
+# key means a consumer diffing the trajectory across commits silently
+# loses that series.
 echo "== bench-sweep smoke"
 cargo run --release --offline -p mee-bench --bin bench-sweep -- 2019 1 --threads 2 >/dev/null
 for key in name root_seed sessions threads bits_per_session ber_mean ber_p95 \
-           kbps_p50 kbps_p95 probe_p50_cycles probe_p95_cycles host_ns_p50 \
-           host_ns_p90 host_ns_p95 host_ns_p99; do
+           kbps_p50 kbps_p95 probe_p50_cycles probe_p95_cycles; do
   grep -q "\"${key}\":" BENCH_sweep.json ||
     { echo "BENCH_sweep.json schema drift: missing key '${key}'" >&2; exit 1; }
 done
@@ -95,18 +94,12 @@ for key in traceEvents displayTimeUnit meta meeMetrics hostProfile; do
   grep -q "\"${key}\":" BENCH_trace.json ||
     { echo "BENCH_trace.json schema drift: missing key '${key}'" >&2; exit 1; }
 done
-# Smoke-run the establishment microbench (4 samples at scale 1) and hold
-# BENCH_establish.json to its schema. The binary replays every sample with
-# the translation memo disabled and exits non-zero if any discovered
-# eviction set, final clock, or MEE statistic diverges, so this also gates
-# the memo's bit-identity contract on every CI run.
-echo "== bench-establish smoke"
-cargo run --release --offline -p mee-bench --bin bench-establish -- 2019 1 >/dev/null
-for key in name root_seed samples candidates reps host_ns_p50 host_ns_p90 \
-           host_ns_p99 memo_divergences; do
-  grep -q "\"${key}\":" BENCH_establish.json ||
-    { echo "BENCH_establish.json schema drift: missing key '${key}'" >&2; exit 1; }
-done
+
+# Run every experiment EXPERIMENTS.md is generated from (seed 2019,
+# scale 1); any experiment that fails exits non-zero here.
+echo "== repro all"
+cargo run --release --offline -p mee-bench --bin repro -- all 2019 1 >/dev/null
+
 # perfbench is a package of its own (kept out of the workspace): run its
 # tests and lints, then one short untraced run of every workload. The run
 # exits non-zero if any simulated result drifts from the committed

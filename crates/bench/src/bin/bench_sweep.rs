@@ -1,6 +1,6 @@
 //! The parallel seed-sweep benchmark: N independent channel sessions
-//! (establish + transmit on a fresh noisy machine each) run through the
-//! `mee-sweep` work queue, with per-session host timing.
+//! (establish + transmit on a fresh noisy machine each) run through
+//! `run_channel_sweep` on the `mee-sweep` work queue.
 //!
 //! ```text
 //! cargo run --release -p mee-bench --bin bench-sweep -- [seed] [scale] [--threads N]
@@ -14,60 +14,40 @@
 //! * `scale` multiplies both the session count (4×) and the payload
 //!   (64 bits ×); `--threads` / `MEE_SWEEP_THREADS` pin the worker count,
 //!   which changes wall time but never the results.
+//!
+//! A failed session exits 1 with the lowest-indexed failure's error.
 
-use std::time::Instant;
-
-use mee_attack::channel::{random_bits, ChannelConfig, Session};
-use mee_attack::setup::AttackSetup;
-use mee_bench::sweep::{SessionRecord, SweepReport};
+use mee_attack::channel::ChannelConfig;
+use mee_attack::experiments::{run_channel_sweep, SweepPlan};
+use mee_bench::sweep::SweepReport;
 use mee_bench::HarnessArgs;
 use mee_sweep::Sweep;
-
-fn percentile_raw(sorted: &[u64], p: f64) -> u64 {
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
 
 fn main() {
     let args = HarnessArgs::from_env();
     // Validate the environment override the same way bad CLI flags are
     // rejected: a message on stderr and exit status 2, not a panic.
-    let runner = match Sweep::from_env() {
-        Ok(r) => r.threads(args.threads),
+    let threads = match Sweep::from_env() {
+        Ok(r) => r.threads(args.threads).thread_count(),
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    let sessions = 4 * args.scale;
     let bits = 64 * args.scale;
-    let cfg = ChannelConfig::sweep_setup();
-
-    let records = runner.seed_sweep(args.seed, sessions, |spec| {
-        let start = Instant::now();
-        let mut setup = AttackSetup::new(spec.seed).expect("machine construction");
-        let session = Session::establish(&mut setup, &cfg).expect("channel establishment");
-        let payload = random_bits(bits, spec.seed);
-        let out = session.transmit(&mut setup, &payload).expect("transmission");
-        let host_ns = start.elapsed().as_nanos() as f64;
-        let mut probes: Vec<u64> = out.probe_times.iter().map(|t| t.raw()).collect();
-        probes.sort_unstable();
-        SessionRecord {
-            index: spec.index,
-            seed: spec.seed,
-            bits,
-            bit_errors: out.errors.count(),
-            kbps: out.kbps,
-            probe_p50_cycles: percentile_raw(&probes, 50.0),
-            probe_p95_cycles: percentile_raw(&probes, 95.0),
-            host_ns,
+    let plan = SweepPlan::new(args.seed, 4 * args.scale).threads(threads);
+    let records = match run_channel_sweep(&plan, &ChannelConfig::sweep_setup(), bits) {
+        Ok(records) => records,
+        Err(e) => {
+            eprintln!("bench-sweep: session failed: {e}");
+            std::process::exit(1);
         }
-    });
+    };
 
     let report = SweepReport {
         name: "channel/seed_sweep".into(),
         root_seed: args.seed,
-        threads: runner.thread_count(),
+        threads,
         bits_per_session: bits,
         records,
     };

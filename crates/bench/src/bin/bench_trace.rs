@@ -28,7 +28,6 @@ use std::io::Write as _;
 use mee_attack::channel::{random_bits, ChannelConfig, Session};
 use mee_attack::experiments::session_fault_targets;
 use mee_attack::setup::AttackSetup;
-use mee_bench::output::JsonlWriter;
 use mee_bench::HarnessArgs;
 use mee_faults::{FaultInjector, FaultIntensity, FaultPlan};
 use mee_obs::{chrome_trace, ChromeTraceOptions};
@@ -114,8 +113,7 @@ fn main() {
     }
 
     let cats: Vec<String> = categories.iter().map(|c| format!("\"{c}\"")).collect();
-    let mut w = JsonlWriter::stdout_only();
-    w.line_or_exit(&format!(
+    println!(
         "{{\"name\":\"trace/session\",\"seed\":{},\"bits\":{},\"bit_errors\":{},\
          \"events\":{},\"dropped\":{},\"categories\":[{}],\"faults_applied\":{},\
          \"metrics_reconciled\":{},\"out\":{:?}}}",
@@ -128,7 +126,7 @@ fn main() {
         injector.applied().len(),
         reconciled,
         path.display().to_string(),
-    ));
+    );
 
     if !reconciled {
         eprintln!(

@@ -1,30 +1,28 @@
 #![warn(missing_docs)]
-//! Shared plumbing for the figure-regeneration binaries and the in-tree
-//! micro-benchmark harness.
+//! Shared plumbing for the `mee-bench` binaries: `repro`, which
+//! regenerates the paper's figures and experiments (see [`repro`]), and
+//! the four artifact writers `bench-sweep`, `bench-resilience`,
+//! `bench-campaign` and `bench-trace`. Host-speed measurement lives in
+//! the separate `perfbench` package.
 //!
-//! Every binary accepts `[seed] [scale]` positional arguments:
+//! Every binary accepts `[seed] [scale]` positional arguments (after
+//! `repro`'s experiment name):
 //!
 //! * `seed` (default 2019, the paper's year) — all machine RNGs derive
 //!   from it;
 //! * `scale` (default 1) — multiplies trial counts / payload sizes, so
-//!   `cargo run -p mee-bench --bin fig7 -- 7 4` runs a 4× heavier sweep.
+//!   `cargo run -p mee-bench --bin repro -- fig7 7 4` runs a 4× heavier
+//!   sweep.
 //!
 //! Malformed arguments are hard errors: a typo'd sweep must never
 //! masquerade as the default run.
-//!
-//! The [`harness`] module replaces the previous registry-provided
-//! criterion benches with a zero-dependency measurement loop (warmup +
-//! timed samples, median/p95 in nanoseconds, one JSON line per benchmark
-//! on stdout). Run it with `cargo run --release -p mee-bench --bin
-//! bench-simulator`.
 
 pub mod campaign;
-pub mod harness;
-pub mod output;
+pub mod repro;
 pub mod resilience;
 pub mod sweep;
 
-/// Parsed command-line arguments for a figure binary.
+/// Parsed command-line arguments for a `mee-bench` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// RNG seed for the whole experiment.

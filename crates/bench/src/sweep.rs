@@ -5,50 +5,27 @@
 //! A session line carries everything needed to replay that session alone:
 //! its index, its split seed (feed it to `AttackSetup::new` /
 //! `run_channel_sweep` with one session), and the measured statistics. The
-//! aggregate pools bit-error rates and host-side wall time across the
-//! sweep with nearest-rank percentiles.
+//! aggregate pools bit-error rates, rates and probe times across the sweep
+//! with nearest-rank percentiles.
 
 use std::io::Write as _;
 use std::path::Path;
 
-/// One session of a benchmarked sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionRecord {
-    /// Position in the sweep.
-    pub index: usize,
-    /// The session's split seed (replayable standalone).
-    pub seed: u64,
-    /// Payload length in bits.
-    pub bits: usize,
-    /// Positional bit errors.
-    pub bit_errors: usize,
-    /// Achieved rate in KB/s of simulated time.
-    pub kbps: f64,
-    /// Median spy probe time in simulated cycles.
-    pub probe_p50_cycles: u64,
-    /// 95th-percentile spy probe time in simulated cycles.
-    pub probe_p95_cycles: u64,
-    /// Host wall time of the whole session (establish + transmit).
-    pub host_ns: f64,
-}
+use mee_attack::experiments::ChannelSweepPoint;
 
-impl SessionRecord {
-    /// The session as one JSON line.
-    pub fn json_line(&self, sweep_name: &str) -> String {
-        format!(
-            "{{\"name\":\"{sweep_name}/session\",\"index\":{},\"seed\":{},\"bits\":{},\
-             \"bit_errors\":{},\"kbps\":{:.1},\"probe_p50_cycles\":{},\"probe_p95_cycles\":{},\
-             \"host_ns\":{:.1}}}",
-            self.index,
-            self.seed,
-            self.bits,
-            self.bit_errors,
-            self.kbps,
-            self.probe_p50_cycles,
-            self.probe_p95_cycles,
-            self.host_ns
-        )
-    }
+/// One session as a JSON line.
+pub fn session_line(sweep_name: &str, p: &ChannelSweepPoint) -> String {
+    format!(
+        "{{\"name\":\"{sweep_name}/session\",\"index\":{},\"seed\":{},\"bits\":{},\
+         \"bit_errors\":{},\"kbps\":{:.1},\"probe_p50_cycles\":{},\"probe_p95_cycles\":{}}}",
+        p.index,
+        p.seed,
+        p.bits,
+        p.bit_errors,
+        p.kbps,
+        p.probe_p50.raw(),
+        p.probe_p95.raw()
+    )
 }
 
 /// A finished sweep: plan parameters plus per-session records.
@@ -62,8 +39,8 @@ pub struct SweepReport {
     pub threads: usize,
     /// Bits transmitted per session.
     pub bits_per_session: usize,
-    /// Per-session records, in session order.
-    pub records: Vec<SessionRecord>,
+    /// Per-session results, in session order.
+    pub records: Vec<ChannelSweepPoint>,
 }
 
 /// Nearest-rank percentile of an unsorted sample set.
@@ -93,31 +70,24 @@ impl SweepReport {
         percentile(&rates, p)
     }
 
-    /// The `p`-th percentile of per-session host wall time.
-    pub fn host_ns_percentile(&self, p: f64) -> f64 {
-        let ns: Vec<f64> = self.records.iter().map(|r| r.host_ns).collect();
-        percentile(&ns, p)
-    }
-
     /// The aggregate as one JSON object — the `BENCH_sweep.json` schema.
     pub fn aggregate_json(&self) -> String {
         let kbps: Vec<f64> = self.records.iter().map(|r| r.kbps).collect();
         let probe_p50: Vec<f64> = self
             .records
             .iter()
-            .map(|r| r.probe_p50_cycles as f64)
+            .map(|r| r.probe_p50.raw() as f64)
             .collect();
         let probe_p95: Vec<f64> = self
             .records
             .iter()
-            .map(|r| r.probe_p95_cycles as f64)
+            .map(|r| r.probe_p95.raw() as f64)
             .collect();
         format!(
             "{{\"name\":{:?},\"root_seed\":{},\"sessions\":{},\"threads\":{},\
              \"bits_per_session\":{},\"ber_mean\":{:.4},\"ber_p95\":{:.4},\
              \"kbps_p50\":{:.1},\"kbps_p95\":{:.1},\"probe_p50_cycles\":{:.0},\
-             \"probe_p95_cycles\":{:.0},\"host_ns_p50\":{:.1},\"host_ns_p90\":{:.1},\
-             \"host_ns_p95\":{:.1},\"host_ns_p99\":{:.1}}}",
+             \"probe_p95_cycles\":{:.0}}}",
             self.name,
             self.root_seed,
             self.records.len(),
@@ -129,17 +99,13 @@ impl SweepReport {
             percentile(&kbps, 95.0),
             percentile(&probe_p50, 50.0),
             percentile(&probe_p95, 95.0),
-            self.host_ns_percentile(50.0),
-            self.host_ns_percentile(90.0),
-            self.host_ns_percentile(95.0),
-            self.host_ns_percentile(99.0),
         )
     }
 
     /// Prints one line per session followed by the aggregate line.
     pub fn emit(&self) -> &Self {
         for r in &self.records {
-            println!("{}", r.json_line(&self.name));
+            println!("{}", session_line(&self.name, r));
         }
         println!("{}", self.aggregate_json());
         self
@@ -160,6 +126,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mee_types::Cycles;
 
     fn report() -> SweepReport {
         SweepReport {
@@ -168,15 +135,15 @@ mod tests {
             threads: 2,
             bits_per_session: 10,
             records: (0..4)
-                .map(|i| SessionRecord {
+                .map(|i| ChannelSweepPoint {
                     index: i,
                     seed: 100 + i as u64,
                     bits: 10,
                     bit_errors: i,
                     kbps: 35.0 + i as f64,
-                    probe_p50_cycles: 480,
-                    probe_p95_cycles: 700 + i as u64,
-                    host_ns: 1000.0 * (i + 1) as f64,
+                    elapsed: Cycles::new(10_000),
+                    probe_p50: Cycles::new(480),
+                    probe_p95: Cycles::new(700 + i as u64),
                 })
                 .collect(),
         }
@@ -188,7 +155,6 @@ mod tests {
         // 0+1+2+3 errors over 40 bits.
         assert!((r.ber_mean() - 0.15).abs() < 1e-12);
         assert!((r.ber_percentile(95.0) - 0.3).abs() < 1e-12);
-        assert_eq!(r.host_ns_percentile(50.0), 3000.0);
         let json = r.aggregate_json();
         for key in [
             "\"name\"",
@@ -202,20 +168,20 @@ mod tests {
             "\"kbps_p95\"",
             "\"probe_p50_cycles\"",
             "\"probe_p95_cycles\"",
-            "\"host_ns_p50\"",
-            "\"host_ns_p90\"",
-            "\"host_ns_p95\"",
-            "\"host_ns_p99\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"sessions\":4"));
+        assert!(
+            !json.contains("host_ns"),
+            "host times are not part of the artifact"
+        );
     }
 
     #[test]
     fn session_lines_carry_the_replay_seed() {
         let r = report();
-        let line = r.records[2].json_line(&r.name);
+        let line = session_line(&r.name, &r.records[2]);
         assert!(line.contains("\"seed\":102"), "line: {line}");
         assert!(line.contains("\"index\":2"), "line: {line}");
     }

@@ -138,8 +138,8 @@ impl std::fmt::Debug for SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry and policy.
     ///
-    /// Accepts a concrete policy by value (statically dispatched — the fast
-    /// path) or a `Box<dyn ReplacementPolicy>` for external policies.
+    /// Accepts a concrete policy by value or a [`Policy`]; either way the
+    /// cache dispatches statically through the enum.
     pub fn new(cfg: CacheConfig, policy: impl Into<Policy>) -> Self {
         let mut policy = policy.into();
         policy.attach(cfg.sets, cfg.ways);

@@ -13,8 +13,9 @@ use mee_rng::Rng;
 /// Implementations hold per-set metadata sized by [`attach`](Self::attach),
 /// which the owning cache calls exactly once before use.
 ///
-/// The trait is object-safe: caches store `Box<dyn ReplacementPolicy>` so
-/// experiments can swap policies at run time (the ablation bench does).
+/// Caches hold a policy as the statically dispatched [`Policy`] enum, so
+/// experiments still pick one at run time (the ablation bench does) without
+/// a virtual call on the hot path.
 pub trait ReplacementPolicy: std::fmt::Debug + Send {
     /// Sizes per-set metadata. Called once by the owning cache.
     fn attach(&mut self, sets: usize, ways: usize);
@@ -488,8 +489,7 @@ impl ReplacementPolicy for RandomEviction {
 }
 
 /// A statically dispatched policy: every concrete policy in this module as
-/// an enum variant, plus a [`Policy::Dyn`] escape hatch for external
-/// implementations.
+/// an enum variant.
 ///
 /// The simulated machine's caches sit on the hot path of every memory op
 /// (the L1/L2/LLC lookups, the MEE-cache walk, clflush invalidation sweeps),
@@ -497,8 +497,7 @@ impl ReplacementPolicy for RandomEviction {
 /// policy callbacks through an enum instead of `Box<dyn ReplacementPolicy>`
 /// lets the compiler inline the PLRU bit-tree updates into the cache access
 /// itself. [`SetAssocCache::new`](crate::SetAssocCache::new) accepts
-/// anything `Into<Policy>`: a concrete policy by value, or a boxed trait
-/// object (which lands in the [`Policy::Dyn`] variant).
+/// anything `Into<Policy>`: a concrete policy by value, or a `Policy`.
 #[derive(Debug)]
 pub enum Policy {
     /// Tree pseudo-LRU (the default everywhere).
@@ -513,8 +512,6 @@ pub enum Policy {
     Srrip(Srrip),
     /// Seeded random victims.
     Random(RandomEviction),
-    /// Any external [`ReplacementPolicy`], dynamically dispatched.
-    Dyn(Box<dyn ReplacementPolicy>),
 }
 
 macro_rules! dispatch {
@@ -526,7 +523,6 @@ macro_rules! dispatch {
             Policy::Nru($p) => $body,
             Policy::Srrip($p) => $body,
             Policy::Random($p) => $body,
-            Policy::Dyn($p) => $body,
         }
     };
 }
@@ -599,12 +595,6 @@ impl From<Srrip> for Policy {
 impl From<RandomEviction> for Policy {
     fn from(p: RandomEviction) -> Self {
         Policy::Random(p)
-    }
-}
-
-impl From<Box<dyn ReplacementPolicy>> for Policy {
-    fn from(p: Box<dyn ReplacementPolicy>) -> Self {
-        Policy::Dyn(p)
     }
 }
 
@@ -766,12 +756,12 @@ mod tests {
     fn invalidated_way_is_preferred_victim() {
         for ways in [2usize, 4, 8] {
             for way in 0..ways {
-                let policies: Vec<Box<dyn ReplacementPolicy>> = vec![
-                    Box::new(TrueLru::new()),
-                    Box::new(TreePlru::new()),
-                    Box::new(Fifo::new()),
-                    Box::new(Nru::new()),
-                    Box::new(Srrip::new()),
+                let policies: [Policy; 5] = [
+                    TrueLru::new().into(),
+                    TreePlru::new().into(),
+                    Fifo::new().into(),
+                    Nru::new().into(),
+                    Srrip::new().into(),
                 ];
                 for mut p in policies {
                     p.attach(1, ways);

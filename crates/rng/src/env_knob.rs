@@ -1,11 +1,11 @@
 //! Strict parsing for workspace environment knobs.
 //!
 //! Every env override in the workspace (`MEE_PROP_CASES`, `MEE_PROP_SEED`,
-//! `MEE_BENCH_SAMPLES`, `MEE_SWEEP_THREADS`, `MEE_CAMPAIGN_SHARDS`,
-//! `MEE_CAMPAIGN_DIR`, `MEE_TLB`) goes through this module so a
-//! typo'd value fails loudly and identically everywhere, instead of some
-//! knobs validating strictly while others silently fall back to defaults
-//! (or accept `0` and fail much later with a confusing message).
+//! `MEE_SWEEP_THREADS`, `MEE_CAMPAIGN_SHARDS`, `MEE_CAMPAIGN_DIR`) goes
+//! through this module so a typo'd value fails loudly and identically
+//! everywhere, instead of some knobs validating strictly while others
+//! silently fall back to defaults (or accept `0` and fail much later with
+//! a confusing message).
 
 use std::fmt;
 use std::str::FromStr;

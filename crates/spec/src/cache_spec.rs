@@ -15,12 +15,14 @@
 //!   way, invalidating a way must make it the next full-mask victim (the bug
 //!   class fixed in this PR: stale PLRU bits surviving `on_invalidate`).
 
-use mee_cache::policy::{Fifo, Nru, RandomEviction, Srrip, TreePlru, TrueLru};
+use mee_cache::policy::{Policy, TreePlru, TrueLru};
 use mee_cache::{CacheConfig, ReplacementPolicy, SetAssocCache};
+use mee_machine::PolicyKind;
 use mee_types::LineAddr;
 
 use crate::counterexample::{parse_config, require, require_usize, Counterexample};
 use crate::enumerate::for_each_program;
+use crate::machine_spec::policy_kind_by_name;
 use crate::Budget;
 
 /// Seed used whenever the `random` policy participates in a deterministic
@@ -33,21 +35,14 @@ pub const DETERMINISTIC_POLICIES: [&str; 5] = ["tree-plru", "lru", "fifo", "nru"
 /// All policy names, including the seeded `random`.
 pub const ALL_POLICIES: [&str; 6] = ["tree-plru", "lru", "fifo", "nru", "srrip", "random"];
 
-/// Instantiates a policy by its `name()` string.
+/// Instantiates a policy by its `name()` string, statically dispatched —
+/// the same [`Policy`] the machine's caches run.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown names.
-pub fn policy_by_name(name: &str) -> Result<Box<dyn ReplacementPolicy>, String> {
-    Ok(match name {
-        "tree-plru" => Box::new(TreePlru::new()),
-        "lru" => Box::new(TrueLru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "nru" => Box::new(Nru::new()),
-        "srrip" => Box::new(Srrip::new()),
-        "random" => Box::new(RandomEviction::with_seed(RANDOM_POLICY_SEED)),
-        other => return Err(format!("unknown policy {other:?}")),
-    })
+pub fn policy_by_name(name: &str) -> Result<Policy, String> {
+    policy_kind_by_name(name).map(PolicyKind::build)
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +94,7 @@ pub fn parse_policy_ops(trace: &str) -> Result<Vec<PolicyOp>, String> {
         .collect()
 }
 
-fn replay_policy(policy: &mut dyn ReplacementPolicy, ops: &[PolicyOp]) {
+fn replay_policy(policy: &mut Policy, ops: &[PolicyOp]) {
     for op in ops {
         match *op {
             PolicyOp::Fill(w) => policy.on_fill(0, w),
@@ -122,7 +117,7 @@ pub fn check_victim_from_allowed(
 ) -> Result<(), String> {
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
-    replay_policy(policy.as_mut(), ops);
+    replay_policy(&mut policy, ops);
     for mask_bits in 1u32..(1 << ways) {
         let allowed: Vec<bool> = (0..ways).map(|w| mask_bits & (1 << w) != 0).collect();
         let v = policy.victim(0, &allowed);
@@ -171,7 +166,7 @@ pub fn check_invalidated_preferred(
     }
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
-    replay_policy(policy.as_mut(), ops);
+    replay_policy(&mut policy, ops);
     let allowed = vec![true; ways];
     let v = policy.victim(0, &allowed);
     if v != target {

@@ -100,7 +100,7 @@ impl std::error::Error for ThreadsEnvError {}
 /// a 30-digit overflow all fail the same way).
 pub fn parse_threads_override(value: &str) -> Result<usize, ThreadsEnvError> {
     // Delegates to the workspace-wide knob grammar so MEE_SWEEP_THREADS
-    // accepts and rejects exactly what MEE_PROP_CASES / MEE_BENCH_SAMPLES
+    // accepts and rejects exactly what MEE_PROP_CASES / MEE_CAMPAIGN_SHARDS
     // do; the sweep-specific error type stays for API stability.
     mee_rng::env_knob::parse_positive::<usize>(THREADS_ENV, value).map_err(|_| ThreadsEnvError {
         value: value.to_owned(),
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn every_session_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = Sweep::with_threads(8).run(&vec![(); 100], |i, ()| {
+        let out = Sweep::with_threads(8).run(&[(); 100], |i, ()| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });

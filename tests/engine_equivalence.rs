@@ -16,14 +16,16 @@
 //!   invalidation is exercised by preemptions overriding queued wake-ups.
 
 use mee_covert::attack::channel::{random_bits, ChannelConfig, Session};
+use mee_covert::attack::recon::eviction::find_eviction_set;
 use mee_covert::attack::setup::AttackSetup;
+use mee_covert::attack::threshold::LatencyClassifier;
 use mee_covert::cache::CacheStats;
 use mee_covert::engine::MeeStats;
 use mee_covert::faults::{FaultInjector, FaultIntensity, FaultPlan, FaultTargets};
 use mee_covert::machine::{EngineKind, Machine, MachineConfig, PolicyKind, ProcId};
 use mee_covert::mem::AddressSpaceKind;
 use mee_covert::rng::prop::{check, PropConfig};
-use mee_covert::rng::Rng;
+use mee_covert::rng::{stream_seed, Rng};
 use mee_covert::spec::machine_spec::tiny_config;
 use mee_covert::spec::oracle::{
     covert_exchange_trace, decode_exchange, OpKind, OracleOp, SPY_BASE, TROJAN_BASE,
@@ -231,6 +233,52 @@ fn translation_memo_diff_empty_on_establishment_ladder() {
         };
         let diff = oracle.run(&trace).expect("both machines build");
         assert!(diff.is_empty(), "memo on/off diverged on random trace:\n{diff}");
+    }
+}
+
+/// Everything the translation memo must not change about one whole
+/// Algorithm 1 establishment: the discovered set, the simulated clock it
+/// cost, and the MEE cache's end-of-run statistics.
+#[derive(Debug, PartialEq)]
+struct EstablishmentFingerprint {
+    eviction_set: Vec<VirtAddr>,
+    test_address: VirtAddr,
+    index_set_size: usize,
+    final_clock: Cycles,
+    mee_stats: MeeStats,
+}
+
+fn establish_fingerprint(cfg: MachineConfig, seed: u64) -> EstablishmentFingerprint {
+    let mut setup = AttackSetup::with_config(cfg, seed).expect("setup");
+    let classifier = LatencyClassifier::from_timing(&setup.machine.config().timing);
+    let candidates = setup.trojan.candidates(160, 0);
+    let trojan_core = setup.trojan.core;
+    let mut cpu = setup.trojan_handle();
+    let result = find_eviction_set(&mut cpu, &candidates, &classifier, 3).expect("algorithm 1");
+    EstablishmentFingerprint {
+        eviction_set: result.eviction_set,
+        test_address: result.test_address,
+        index_set_size: result.index_set_size,
+        final_clock: setup.machine.core_now(trojan_core),
+        mee_stats: setup.machine.mee().stats(),
+    }
+}
+
+#[test]
+fn translation_memo_leaves_whole_establishments_bit_identical() {
+    // Algorithm 1 on the full-size noisy machine (160 candidates, 3-vote
+    // majorities), memo on vs off, over four split seeds.
+    for i in 0..4 {
+        let seed = stream_seed(testbed::SEED, i);
+        let memo_off = MachineConfig {
+            tlb_entries: 0,
+            ..MachineConfig::default()
+        };
+        assert_eq!(
+            establish_fingerprint(MachineConfig::default(), seed),
+            establish_fingerprint(memo_off, seed),
+            "memo on/off diverged at seed {seed}"
+        );
     }
 }
 
