@@ -9,6 +9,9 @@ cd "$(dirname "$0")"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Formatting gate, so far for the crates that have been brought to rustfmt
+# style; extend the package list as more crates are formatted.
+cargo fmt -p mee-machine -p mee-sweep -- --check
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \
@@ -19,10 +22,10 @@ done
 
 # The invariant registry: exhaustive model-checking-lite tier at the full
 # budget, then the fixed-seed property tier. Any counterexample prints a
-# one-line replay recipe and exits 1, failing CI here. Both tiers run on
-# the event-driven scheduler core (the MachineConfig default); the
-# cycle-stepped baseline is held bit-identical to it by the differential
-# tier (tests/engine_equivalence.rs, part of the workspace tests above).
+# one-line replay recipe and exits 1, failing CI here. The machine has one
+# actor scheduler; the differential tier (tests/engine_equivalence.rs, part
+# of the workspace tests above) holds its hook-schedule skipping
+# bit-identical to calling the hook before every step.
 echo "== spec: exhaustive tier"
 cargo run --release --offline -p mee-spec -- --tier exhaustive --budget full
 echo "== spec: property tier"

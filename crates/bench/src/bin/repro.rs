@@ -6,7 +6,8 @@
 //! ```
 //!
 //! The experiment names are in [`mee_bench::repro::EXPERIMENTS`]. A missing
-//! or unknown name, or a malformed seed or scale, exits 2 with a usage line.
+//! or unknown name, a malformed seed or scale, or a `--threads`, `--out` or
+//! `--trace` flag exits 2 with a usage line.
 
 use mee_bench::repro::{self, Experiment, Selection};
 

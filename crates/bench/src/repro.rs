@@ -173,8 +173,9 @@ pub fn usage() -> String {
 /// # Errors
 ///
 /// Returns the message to print before exiting with status 2: the usage
-/// line for a missing or unknown experiment, or the [`HarnessArgs`] error
-/// for a malformed seed or scale.
+/// line for a missing or unknown experiment or for a `--threads`, `--out`
+/// or `--trace` flag (`repro` honours none of them), or the
+/// [`HarnessArgs`] error for a malformed seed or scale.
 pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Selection, HarnessArgs), String> {
     let mut args = args.into_iter();
     let name = args.next().ok_or_else(usage)?;
@@ -187,6 +188,14 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Selection, Harn
         }
     };
     let harness = HarnessArgs::parse(args).map_err(|e| e.to_string())?;
+    let ignored = [
+        ("--threads", harness.threads.is_some()),
+        ("--out", harness.out.is_some()),
+        ("--trace", harness.trace.is_some()),
+    ];
+    if let Some((flag, _)) = ignored.iter().find(|(_, given)| *given) {
+        return Err(format!("repro does not take {flag}\n{}", usage()));
+    }
     Ok((selection, harness))
 }
 
@@ -263,6 +272,24 @@ mod tests {
                 assert!(e.contains(exp.name), "{bad:?}: usage misses {}", exp.name);
             }
         }
+    }
+
+    #[test]
+    fn flags_repro_ignores_are_usage_errors() {
+        for flags in [
+            &["--threads", "3"][..],
+            &["--out", "x.json"],
+            &["--trace", "64"],
+        ] {
+            let mut argv = args(&["fig8", "2019", "1"]);
+            argv.extend(args(flags));
+            let e = parse(argv).unwrap_err();
+            assert!(e.contains(flags[0]), "{flags:?}: {e}");
+            assert!(e.contains("usage: repro <experiment>"), "{flags:?}: {e}");
+        }
+        let (sel, harness) = parse(args(&["fig8", "2019", "1"])).unwrap();
+        assert!(matches!(sel, Selection::One(e) if e.name == "fig8"));
+        assert_eq!((harness.seed, harness.scale), (2019, 1));
     }
 
     #[test]

@@ -90,8 +90,8 @@ impl StepHook for FaultInjector {
 
     /// The injector is a pure no-op until its next pending event's time,
     /// and idle once the plan drains — every effect it applies is keyed
-    /// off `event.at`, not the observed `now`, so the event-driven
-    /// scheduler may skip the silent calls without changing the replay.
+    /// off `event.at`, not the observed `now`, so the scheduler may skip
+    /// the silent calls without changing the replay.
     fn schedule(&self) -> HookSchedule {
         match self.plan.events().get(self.cursor) {
             Some(event) => HookSchedule::At(event.at),

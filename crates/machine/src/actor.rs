@@ -14,8 +14,6 @@
 
 use mee_types::{Cycles, ModelError, VirtAddr};
 
-use crate::config::EngineKind;
-use crate::events::EventQueue;
 use crate::machine::{CoreId, Machine, ProcId};
 
 /// What an actor's step reported.
@@ -131,7 +129,8 @@ impl<'m> CoreHandle<'m> {
     ///
     /// Propagates machine errors.
     pub fn sweep_read_flush(&mut self, addrs: &[VirtAddr]) -> Result<Cycles, ModelError> {
-        self.machine.sweep_read_flush(self.core, self.proc, addrs, false)
+        self.machine
+            .sweep_read_flush(self.core, self.proc, addrs, false)
     }
 
     /// [`Self::sweep_read_flush`] in reverse address order (the backward
@@ -141,7 +140,8 @@ impl<'m> CoreHandle<'m> {
     ///
     /// Propagates machine errors.
     pub fn sweep_read_flush_rev(&mut self, addrs: &[VirtAddr]) -> Result<Cycles, ModelError> {
-        self.machine.sweep_read_flush(self.core, self.proc, addrs, true)
+        self.machine
+            .sweep_read_flush(self.core, self.proc, addrs, true)
     }
 
     /// Serializing fence.
@@ -205,30 +205,28 @@ pub fn run_actors(
 /// [`run_actor_refs`].
 pub type ActorRef<'a> = (CoreId, ProcId, &'a mut (dyn Actor + 'static));
 
-/// A scheduler hook invoked before every actor step, with the global
-/// simulation time (the clock of the actor about to run). The fault
-/// injector lives behind this trait: it applies every scheduled fault
-/// whose time has passed, from *outside* any core's instruction stream,
-/// while the scheduler's global clock order keeps the result
-/// deterministic.
+/// A scheduler hook invoked before actor steps, with the global simulation
+/// time (the clock of the actor about to run). The fault injector lives
+/// behind this trait: it applies every scheduled fault whose time has
+/// passed, from *outside* any core's instruction stream, while the
+/// scheduler's global clock order keeps the result deterministic.
 pub trait StepHook {
-    /// Called with the machine and the current global time before each
-    /// step. May mutate the machine (clocks, caches); the scheduler
-    /// re-selects the next actor afterwards.
+    /// Called with the machine and the current global time before a step
+    /// its [`Self::schedule`] asks for. May mutate the machine (clocks,
+    /// caches); the scheduler re-selects the next actor afterwards.
     ///
     /// # Errors
     ///
     /// An error aborts the run and propagates to the caller.
     fn before_step(&mut self, machine: &mut Machine, now: Cycles) -> Result<(), ModelError>;
 
-    /// When the hook next needs to observe the machine. The event-driven
-    /// scheduler skips `before_step` calls the schedule rules out; the
-    /// cycle-stepped scheduler ignores this and calls before every step.
+    /// When the hook next needs to observe the machine. The scheduler
+    /// skips the `before_step` calls the schedule rules out.
     ///
     /// The default, [`HookSchedule::EveryStep`], is always safe. A hook
     /// may only narrow it if `before_step` is a pure no-op outside the
     /// declared times — i.e. before `At(t)` is reached, or always for
-    /// `Idle` — otherwise the two engines diverge. The scheduler
+    /// `Idle` — otherwise narrowing changes the run. The scheduler
     /// re-queries after every `before_step` call, so `At` hooks advance
     /// their own horizon as they fire.
     fn schedule(&self) -> HookSchedule {
@@ -236,11 +234,10 @@ pub trait StepHook {
     }
 }
 
-/// When a [`StepHook`] next needs `before_step` called (only consulted by
-/// the event-driven scheduler).
+/// When a [`StepHook`] next needs `before_step` called.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookSchedule {
-    /// Call before every actor step (the cycle-stepped contract).
+    /// Call before every actor step.
     EveryStep,
     /// No effect until global time reaches this cycle: call before the
     /// first step at or after it.
@@ -277,12 +274,18 @@ pub fn run_actor_refs(
     run_actor_refs_hooked(machine, actors, horizon, &mut NoopHook)
 }
 
-/// Like [`run_actor_refs`] with a [`StepHook`] consulted before every step
-/// — the entry point for deterministic fault injection.
+/// An actor that stops advancing its clock for this many consecutive steps
+/// is declared deadlocked.
+const STUCK_LIMIT: u32 = 100_000;
+
+/// Like [`run_actor_refs`] with a [`StepHook`] consulted before steps —
+/// the entry point for deterministic fault injection.
 ///
-/// Dispatches on [`MachineConfig::engine`](crate::MachineConfig): the
-/// event-driven core and the cycle-stepped core produce bit-identical
-/// simulations (`tests/engine_equivalence.rs` is the gate).
+/// Each step runs the runnable actor with the smallest core clock below
+/// `horizon`; the first binding slot wins ties. The hook is called first
+/// whenever its [`HookSchedule`] is due at that clock, and the actor is
+/// re-selected afterwards, since the hook may have moved clocks. See
+/// `DESIGN.md`, "Scheduler".
 ///
 /// # Errors
 ///
@@ -308,212 +311,69 @@ pub fn run_actor_refs_hooked(
         seen[idx] = true;
     }
 
-    match machine.config().engine {
-        EngineKind::CycleStepped => run_cycle_stepped(machine, actors, horizon, hook),
-        EngineKind::EventDriven => run_event_driven(machine, actors, horizon, hook),
-    }
-}
-
-/// An actor that stops advancing its clock for this many consecutive steps
-/// is declared deadlocked (both engines, same threshold and message).
-const STUCK_LIMIT: u32 = 100_000;
-
-fn stuck_error(core: CoreId) -> ModelError {
-    ModelError::InvalidConfig {
-        reason: format!("actor on {core} made {STUCK_LIMIT} steps without advancing its clock"),
-    }
-}
-
-/// The original scheduler: scan all runnable actors for the minimum clock
-/// before every step. Kept as the differential baseline for
-/// [`run_event_driven`].
-fn run_cycle_stepped(
-    machine: &mut Machine,
-    actors: &mut [ActorRef<'_>],
-    horizon: Cycles,
-    hook: &mut dyn StepHook,
-) -> Result<(), ModelError> {
     let mut done = vec![false; actors.len()];
     let mut stuck_count = vec![0u32; actors.len()];
-
     // Host-time profiling of the step loop: wall-clock only, recorded on
     // exit — it cannot influence the simulated interleaving.
     let loop_start = std::time::Instant::now();
     let mut steps: u64 = 0;
-    let finish = |machine: &mut Machine, steps: u64| {
-        machine
-            .obs_mut()
-            .host
-            .record_n("actor_step_loop", steps, loop_start.elapsed());
-    };
 
-    loop {
-        // Pick the runnable actor with the smallest core clock.
-        let pick = |machine: &Machine, done: &[bool]| {
-            actors
-                .iter()
-                .enumerate()
-                .filter(|(i, (core, _, _))| !done[*i] && machine.core_now(*core) < horizon)
-                .min_by_key(|(_, (core, _, _))| machine.core_now(*core))
-                .map(|(i, _)| i)
-        };
-        let Some(i) = pick(machine, &done) else {
-            finish(machine, steps);
-            return Ok(());
-        };
-        // The hook sees the global time (the chosen actor's clock) and may
-        // move clocks or scrub caches; re-pick afterwards so the selection
-        // respects whatever it did.
-        hook.before_step(machine, machine.core_now(actors[i].0))?;
-        let Some(i) = pick(machine, &done) else {
-            finish(machine, steps);
-            return Ok(());
-        };
-
-        let core = actors[i].0;
-        let before = machine.core_now(core);
-        let outcome = {
-            let (core, proc, actor) = &mut actors[i];
-            let mut cpu = CoreHandle::new(machine, *core, *proc);
-            actor.step(&mut cpu)?
-        };
-        steps += 1;
-        if outcome == StepOutcome::Done {
-            done[i] = true;
-        } else if machine.core_now(core) == before {
-            stuck_count[i] += 1;
-            if stuck_count[i] > STUCK_LIMIT {
-                return Err(stuck_error(core));
-            }
-        } else {
-            stuck_count[i] = 0;
-        }
-    }
-}
-
-/// The event-driven scheduler core: one wake-up event per runnable actor,
-/// popped in `(time, slot, seq)` order from a deterministic [`EventQueue`].
-///
-/// Bit-identity with [`run_cycle_stepped`] rests on three facts (proved by
-/// `tests/engine_equivalence.rs` and argued in `DESIGN.md`):
-///
-/// * Queue order equals scan order. The old scheduler picks the minimum
-///   core clock, first binding slot on ties; the queue key `(time, slot,
-///   seq)` pops the same actor, because each actor has exactly one live
-///   entry.
-/// * Stale entries are lower bounds. Clocks only move forward (preemption
-///   parks to `max`, drift and busy-work add), so an entry whose recorded
-///   time no longer matches its actor's clock sorts *earlier* than the
-///   truth. Re-queueing it at the current clock on pop — lazy
-///   invalidation, the classic priority-queue trick — can therefore never
-///   pop a wrong minimum. This is how a fault preempting an actor
-///   overrides that actor's already-queued wake-up.
-/// * Skipped hook calls are no-ops. [`StepHook::schedule`] only rules out
-///   calls the hook contract declares side-effect free (`At(t)` before
-///   `t`, `Idle` always); `EveryStep` hooks run exactly as before.
-fn run_event_driven(
-    machine: &mut Machine,
-    actors: &mut [ActorRef<'_>],
-    horizon: Cycles,
-    hook: &mut dyn StepHook,
-) -> Result<(), ModelError> {
-    // No `done` flags here: a finished actor's wake-up is simply never
-    // re-queued, so the queue cannot yield it again.
-    let mut stuck_count = vec![0u32; actors.len()];
-
-    // Same host span as the cycle-stepped loop, so profiles stay
-    // comparable across engines.
-    let loop_start = std::time::Instant::now();
-    let mut steps: u64 = 0;
-    let finish = |machine: &mut Machine, steps: u64| {
-        machine
-            .obs_mut()
-            .host
-            .record_n("actor_step_loop", steps, loop_start.elapsed());
-    };
-
-    let mut queue: EventQueue<()> = EventQueue::new();
-    for (slot, (core, _, _)) in actors.iter().enumerate() {
-        let now = machine.core_now(*core);
-        if now < horizon {
-            queue.push(now, slot as u32, ());
-        }
-    }
-
-    // Pops the next wake-up whose recorded time still matches its core
-    // clock. A stale entry (the hook moved the clock since it was queued)
-    // is re-queued at the clock's current value; an entry at or past the
-    // horizon is parked (dropped — clocks never move back below it).
-    let pop_live = |queue: &mut EventQueue<()>, machine: &Machine, actors: &[ActorRef<'_>]| {
-        while let Some((key, ())) = queue.pop() {
-            let slot = key.lane as usize;
-            let now = machine.core_now(actors[slot].0);
-            if now >= horizon {
-                continue;
-            }
-            if key.time != now {
-                queue.push(now, key.lane, ());
-                continue;
-            }
-            return Some((key.time, slot));
-        }
-        None
-    };
-
-    loop {
-        let Some((now, slot)) = pop_live(&mut queue, machine, actors) else {
-            finish(machine, steps);
-            return Ok(());
-        };
-        let run_hook = match hook.schedule() {
+    while let Some((mut slot, now)) = next_actor(machine, actors, &done, horizon) {
+        let hook_due = match hook.schedule() {
             HookSchedule::EveryStep => true,
             HookSchedule::At(at) => now >= at,
             HookSchedule::Idle => false,
         };
-        let slot = if run_hook {
+        if hook_due {
             hook.before_step(machine, now)?;
-            // The hook may have moved clocks: put the popped actor back at
-            // its (possibly new) clock and re-select, mirroring the
-            // cycle-stepped re-pick.
-            let cur = machine.core_now(actors[slot].0);
-            if cur < horizon {
-                queue.push(cur, slot as u32, ());
+            match next_actor(machine, actors, &done, horizon) {
+                Some((after_hook, _)) => slot = after_hook,
+                None => break,
             }
-            match pop_live(&mut queue, machine, actors) {
-                Some((_, slot)) => slot,
-                None => {
-                    finish(machine, steps);
-                    return Ok(());
-                }
-            }
-        } else {
-            slot
-        };
+        }
 
-        let core = actors[slot].0;
-        let before = machine.core_now(core);
-        let outcome = {
-            let (core, proc, actor) = &mut actors[slot];
-            let mut cpu = CoreHandle::new(machine, *core, *proc);
-            actor.step(&mut cpu)?
-        };
+        let (core, proc, actor) = &mut actors[slot];
+        let before = machine.core_now(*core);
+        let outcome = actor.step(&mut CoreHandle::new(machine, *core, *proc))?;
         steps += 1;
         if outcome == StepOutcome::Done {
-            continue;
-        }
-        let after = machine.core_now(core);
-        if after == before {
+            done[slot] = true;
+        } else if machine.core_now(*core) == before {
             stuck_count[slot] += 1;
             if stuck_count[slot] > STUCK_LIMIT {
-                return Err(stuck_error(core));
+                return Err(ModelError::InvalidConfig {
+                    reason: format!(
+                        "actor on {core} made {STUCK_LIMIT} steps without advancing its clock"
+                    ),
+                });
             }
         } else {
             stuck_count[slot] = 0;
         }
-        if after < horizon {
-            queue.push(after, slot as u32, ());
-        }
     }
+
+    machine
+        .obs_mut()
+        .host
+        .record_n("actor_step_loop", steps, loop_start.elapsed());
+    Ok(())
+}
+
+/// The runnable actor with the smallest core clock below `horizon`, and
+/// that clock. `min_by_key` keeps the first minimum, so ties go to the
+/// lowest binding slot.
+fn next_actor(
+    machine: &Machine,
+    actors: &[ActorRef<'_>],
+    done: &[bool],
+    horizon: Cycles,
+) -> Option<(usize, Cycles)> {
+    actors
+        .iter()
+        .enumerate()
+        .map(|(slot, (core, _, _))| (slot, machine.core_now(*core)))
+        .filter(|&(slot, now)| !done[slot] && now < horizon)
+        .min_by_key(|&(_, now)| now)
 }
 
 #[cfg(test)]
@@ -561,19 +421,13 @@ mod tests {
         }
     }
 
-    fn setup_with(engine: EngineKind) -> (Machine, ProcId, VirtAddr) {
-        let mut m = Machine::new(MachineConfig::small().with_engine(engine)).unwrap();
+    fn setup() -> (Machine, ProcId, VirtAddr) {
+        let mut m = Machine::new(MachineConfig::small()).unwrap();
         let p = m.create_process(AddressSpaceKind::Enclave);
         let base = VirtAddr::new(0x40_0000);
         m.map_pages(p, base, 2).unwrap();
         (m, p, base)
     }
-
-    fn setup() -> (Machine, ProcId, VirtAddr) {
-        setup_with(EngineKind::default())
-    }
-
-    const BOTH_ENGINES: [EngineKind; 2] = [EngineKind::CycleStepped, EngineKind::EventDriven];
 
     #[test]
     fn single_actor_runs_to_completion() {
@@ -718,115 +572,119 @@ mod tests {
         assert!(m.core_now(CoreId::new(0)) >= Cycles::new(10_000));
     }
 
-    /// Both engines on the same two-reader workload: identical per-read
-    /// latencies and identical final clocks, step for step.
-    #[test]
-    fn engines_agree_on_shared_page_interleaving() {
-        let run = |engine: EngineKind| {
-            let (mut m, p, base) = setup_with(engine);
-            let mut a = Reader {
-                base,
-                remaining: 50,
-                latencies: Vec::new(),
-            };
-            let mut b = Reader {
-                base: base + PAGE_SIZE as u64,
-                remaining: 50,
-                latencies: Vec::new(),
-            };
-            let mut actors: Vec<ActorRef<'_>> =
-                vec![(CoreId::new(0), p, &mut a), (CoreId::new(1), p, &mut b)];
-            run_actor_refs(&mut m, &mut actors, Cycles::new(10_000_000)).unwrap();
-            (
-                a.latencies,
-                b.latencies,
-                m.core_now(CoreId::new(0)),
-                m.core_now(CoreId::new(1)),
-            )
-        };
-        assert_eq!(run(EngineKind::CycleStepped), run(EngineKind::EventDriven));
+    /// The shared step log: `(actor id, core clock before the step)`.
+    type StepLog = std::rc::Rc<std::cell::RefCell<Vec<(usize, u64)>>>;
+
+    /// Advances 100 cycles per step, logging each step.
+    struct Logger {
+        id: usize,
+        steps: usize,
+        log: StepLog,
     }
 
-    /// Both engines under a clock-moving hook: the preemption invalidates
-    /// the event engine's already-queued wake-up for core 0 (lazy
-    /// reschedule), and the observable run — every `now` the hook saw,
-    /// plus the final clock — still matches the cycle-stepped baseline.
-    #[test]
-    fn engines_agree_under_preempting_hook() {
-        struct PreemptAt {
-            at: Cycles,
-            fired: bool,
-            times: Vec<u64>,
+    impl Actor for Logger {
+        fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
+            if self.steps == 0 {
+                return Ok(StepOutcome::Done);
+            }
+            self.steps -= 1;
+            self.log.borrow_mut().push((self.id, cpu.now().raw()));
+            cpu.advance(Cycles::new(100));
+            Ok(StepOutcome::Running)
         }
-        impl StepHook for PreemptAt {
-            fn before_step(
-                &mut self,
-                machine: &mut Machine,
-                now: Cycles,
-            ) -> Result<(), ModelError> {
-                self.times.push(now.raw());
-                if !self.fired && now >= self.at {
-                    self.fired = true;
-                    machine.preempt_until(CoreId::new(0), now + Cycles::new(15_000));
-                }
-                Ok(())
+    }
+
+    /// Runs two loggers of `steps` steps, logger 0 in binding slot 0 on
+    /// `cores[0]` and logger 1 in slot 1 on `cores[1]`; returns the step
+    /// log and both final clocks.
+    fn run_loggers(
+        cores: [usize; 2],
+        steps: usize,
+        hook: &mut dyn StepHook,
+    ) -> (Vec<(usize, u64)>, Cycles, Cycles) {
+        let (mut m, p, _) = setup();
+        let log = StepLog::default();
+        let logger = |id| Logger {
+            id,
+            steps,
+            log: log.clone(),
+        };
+        let (mut first, mut second) = (logger(0), logger(1));
+        let (a, b) = (CoreId::new(cores[0]), CoreId::new(cores[1]));
+        let mut actors: Vec<ActorRef<'_>> = vec![(a, p, &mut first), (b, p, &mut second)];
+        run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1_000_000), hook).unwrap();
+        (log.take(), m.core_now(a), m.core_now(b))
+    }
+
+    /// Equal clocks go to the lower binding slot, not the lower core: the
+    /// logger in slot 0 (bound to core 1) steps first at every tie.
+    #[test]
+    fn ties_go_to_the_first_binding_slot() {
+        let (log, _, _) = run_loggers([1, 0], 3, &mut NoopHook);
+        assert_eq!(
+            log,
+            [(0, 0), (1, 0), (0, 100), (1, 100), (0, 200), (1, 200)]
+        );
+    }
+
+    /// Preempts core 1 until 15_000 cycles after `at`, keyed off `at` like
+    /// the fault injector, then goes idle — or, with `every_step`, asks to
+    /// be called before every step and ignores the calls before `at` and
+    /// after it fired.
+    struct PreemptAt {
+        at: Cycles,
+        every_step: bool,
+        fired: bool,
+        calls: usize,
+    }
+
+    impl StepHook for PreemptAt {
+        fn before_step(&mut self, machine: &mut Machine, now: Cycles) -> Result<(), ModelError> {
+            self.calls += 1;
+            if !self.fired && now >= self.at {
+                self.fired = true;
+                machine.preempt_until(CoreId::new(1), self.at + Cycles::new(15_000));
+            }
+            Ok(())
+        }
+
+        fn schedule(&self) -> HookSchedule {
+            match (self.every_step, self.fired) {
+                (true, _) => HookSchedule::EveryStep,
+                (false, false) => HookSchedule::At(self.at),
+                (false, true) => HookSchedule::Idle,
             }
         }
-        let run = |engine: EngineKind| {
-            let (mut m, p, base) = setup_with(engine);
-            let mut spinner = Spinner;
-            let mut reader = Reader {
-                base,
-                remaining: 40,
-                latencies: Vec::new(),
-            };
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (CoreId::new(0), p, &mut spinner),
-                (CoreId::new(1), p, &mut reader),
-            ];
-            let mut hook = PreemptAt {
-                at: Cycles::new(2_000),
-                fired: false,
-                times: Vec::new(),
-            };
-            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(40_000), &mut hook).unwrap();
-            assert!(hook.fired);
-            (
-                hook.times,
-                reader.latencies,
-                m.core_now(CoreId::new(0)),
-                m.core_now(CoreId::new(1)),
-            )
-        };
-        assert_eq!(run(EngineKind::CycleStepped), run(EngineKind::EventDriven));
     }
 
-    /// The deadlock guard and the horizon behave identically on the old
-    /// engine (the default-engine variants are covered above).
+    /// A hook's narrowed `At(t)`-then-`Idle` schedule skips only no-op
+    /// calls: the run matches the same hook called before every step.
     #[test]
-    fn cycle_stepped_engine_keeps_guards() {
-        for engine in BOTH_ENGINES {
-            let (mut m, p, _) = setup_with(engine);
-            let mut bindings = vec![ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Stuck),
-            }];
-            assert!(
-                run_actors(&mut m, &mut bindings, Cycles::new(1000)).is_err(),
-                "{engine:?} missed the stuck actor"
-            );
-
-            let (mut m, p, _) = setup_with(engine);
-            let mut bindings = vec![ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Spinner),
-            }];
-            run_actors(&mut m, &mut bindings, Cycles::new(10_000)).unwrap();
-            let now = m.core_now(CoreId::new(0));
-            assert!(now >= Cycles::new(10_000) && now < Cycles::new(10_200), "{engine:?}: {now}");
-        }
+    fn hook_schedule_skips_only_no_op_calls() {
+        let run = |every_step: bool| {
+            let mut hook = PreemptAt {
+                at: Cycles::new(2_050),
+                every_step,
+                fired: false,
+                calls: 0,
+            };
+            let observed = run_loggers([0, 1], 100, &mut hook);
+            assert!(hook.fired);
+            (observed, hook.calls)
+        };
+        let (narrowed, narrowed_calls) = run(false);
+        let (every, every_calls) = run(true);
+        assert_eq!(narrowed, every);
+        // Core 1 stepped at 2_000 (before `at`), then not until 17_050.
+        let core1: Vec<u64> = narrowed
+            .0
+            .iter()
+            .filter(|s| s.0 == 1)
+            .map(|s| s.1)
+            .collect();
+        assert_eq!(core1[20..22], [2_000, 17_050]);
+        assert_eq!(narrowed_calls, 1, "the At hook is called once, when due");
+        assert!(every_calls > narrowed_calls);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   the hyperthread timer-mailbox read of Figure 2(c), and an OCALL-based
 //!   timestamp for comparison;
 //! * the [`Actor`] abstraction plus [`run_actors`] — a deterministic
-//!   discrete-event scheduler that interleaves one actor per core in global
-//!   clock order, which is how the trojan, the spy, and the noise programs
-//!   execute "concurrently".
+//!   scheduler that interleaves one actor per core in global clock order
+//!   (each step goes to the actor whose core clock is furthest behind, the
+//!   first binding slot on ties), which is how the trojan, the spy, and the
+//!   noise programs execute "concurrently".
 //!
 //! # Example
 //!
@@ -47,13 +48,11 @@
 
 mod actor;
 mod config;
-mod events;
 mod machine;
 
 pub use actor::{
     run_actor_refs, run_actor_refs_hooked, run_actors, Actor, ActorBinding, ActorRef, CoreHandle,
     HookSchedule, NoopHook, StepHook, StepOutcome,
 };
-pub use config::{EngineKind, MachineConfig, PolicyKind};
-pub use events::{EventKey, EventQueue};
+pub use config::{MachineConfig, PolicyKind};
 pub use machine::{CoreId, Machine, ProcId};

@@ -10,9 +10,9 @@ use mee_mem::{
     RegionKind, StallGenerator,
 };
 use mee_obs::{EventKind, MemOpKind, Obs, ServedAt, Tracer, WalkLevel};
+use mee_rng::{stream_seed, Rng};
 use mee_tree::TreeGeometry;
 use mee_types::{Cycles, FxHashMap, LineAddr, ModelError, PhysAddr, VirtAddr, PAGE_SIZE};
-use mee_rng::{stream_seed, Rng};
 
 use crate::config::MachineConfig;
 
@@ -327,7 +327,12 @@ impl Machine {
     /// Propagates allocation ([`ModelError::OutOfMemory`]) and mapping
     /// errors; returns [`ModelError::InvalidConfig`] if `base` is not
     /// page-aligned.
-    pub fn map_pages(&mut self, proc: ProcId, base: VirtAddr, count: usize) -> Result<(), ModelError> {
+    pub fn map_pages(
+        &mut self,
+        proc: ProcId,
+        base: VirtAddr,
+        count: usize,
+    ) -> Result<(), ModelError> {
         self.check_proc(proc)?;
         self.check_alignment(base)?;
         // Bump before mutating: a partial failure below still leaves the
@@ -442,8 +447,8 @@ impl Machine {
         }
         let vpn = va.vpn().raw();
         let pid = proc.index() as u64;
-        let slot = ((vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % self.tlb.len() as u64)
-            as usize;
+        let slot =
+            ((vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % self.tlb.len() as u64) as usize;
         let e = self.tlb[slot];
         if e.stamp == self.pt_generation && e.vpn == vpn && u64::from(e.proc) == pid {
             return Ok(PhysAddr::new(e.page_base + va.page_offset()));
@@ -513,7 +518,12 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`ModelError::PageFault`] for unmapped addresses.
-    pub fn clflush(&mut self, core: CoreId, proc: ProcId, va: VirtAddr) -> Result<Cycles, ModelError> {
+    pub fn clflush(
+        &mut self,
+        core: CoreId,
+        proc: ProcId,
+        va: VirtAddr,
+    ) -> Result<Cycles, ModelError> {
         self.check_core(core)?;
         let pa = self.translate_cached(proc, va)?;
         Ok(self.clflush_at(core, proc, pa))
@@ -674,9 +684,10 @@ impl Machine {
     /// legal from an enclave but costs 8000–15000 cycles, which is why the
     /// paper rejects it.
     pub fn ocall_rdtsc(&mut self, core: CoreId) -> Cycles {
-        let lat = Cycles::new(self.rng.random_range(
-            self.cfg.timing.ocall_min.raw()..=self.cfg.timing.ocall_max.raw(),
-        ));
+        let lat = Cycles::new(
+            self.rng
+                .random_range(self.cfg.timing.ocall_min.raw()..=self.cfg.timing.ocall_max.raw()),
+        );
         self.advance_with_stalls(core, lat);
         self.cores[core.index()].now
     }
@@ -733,12 +744,11 @@ impl Machine {
     /// any — a test oracle.
     pub fn check_no_tree_lines_on_chip(&self) -> Option<LineAddr> {
         let tree = self.layout.prm_tree();
-        let mut all_lines = self
-            .llc
-            .resident_lines()
-            .chain(self.cores.iter().flat_map(|c| {
-                c.l1.resident_lines().chain(c.l2.resident_lines())
-            }));
+        let mut all_lines = self.llc.resident_lines().chain(
+            self.cores
+                .iter()
+                .flat_map(|c| c.l1.resident_lines().chain(c.l2.resident_lines())),
+        );
         all_lines.find(|&line| tree.contains(line.base()))
     }
 
@@ -833,11 +843,7 @@ impl Machine {
     ///
     /// Returns [`ModelError::PageFault`] if `page` is unmapped in `proc`,
     /// or [`ModelError::InvalidConfig`] if it is not page-aligned.
-    pub fn epc_evict_page(
-        &mut self,
-        proc: ProcId,
-        page: VirtAddr,
-    ) -> Result<usize, ModelError> {
+    pub fn epc_evict_page(&mut self, proc: ProcId, page: VirtAddr) -> Result<usize, ModelError> {
         self.check_alignment(page)?;
         let pa = self.translate(proc, page)?;
         // The counters are rewritten even though the frame stays the same;
@@ -856,7 +862,9 @@ impl Machine {
         let _ = self.llc.invalidate_range(first, count);
         let mut mee_dropped = 0;
         for i in 0..count {
-            mee_dropped += self.mee.evict_walk_footprint(LineAddr::new(first.raw() + i));
+            mee_dropped += self
+                .mee
+                .evict_walk_footprint(LineAddr::new(first.raw() + i));
         }
         Ok(mee_dropped)
     }
@@ -985,8 +993,8 @@ impl Machine {
                         let Machine { mee, dram, obs, .. } = self;
                         let hit_level = match store {
                             Some(digest) => {
-                                let access = mee
-                                    .write_traced(line, digest, arrival, dram, &mut obs.sink)?;
+                                let access =
+                                    mee.write_traced(line, digest, arrival, dram, &mut obs.sink)?;
                                 lat += access.latency;
                                 access.hit_level
                             }
@@ -1110,7 +1118,10 @@ mod tests {
         let t = &m.config().timing;
         let nominal = t.protected_hit_latency(0);
         let diff = lat.raw() as i64 - nominal.raw() as i64;
-        assert!(diff.abs() < 100, "versions-hit latency {lat} vs nominal {nominal}");
+        assert!(
+            diff.abs() < 100,
+            "versions-hit latency {lat} vs nominal {nominal}"
+        );
     }
 
     #[test]
@@ -1131,7 +1142,9 @@ mod tests {
         let r = m.create_process(AddressSpaceKind::Regular);
         assert!(matches!(
             m.rdtsc(CORE0, e),
-            Err(ModelError::IllegalInEnclave { instruction: "rdtsc" })
+            Err(ModelError::IllegalInEnclave {
+                instruction: "rdtsc"
+            })
         ));
         assert!(m.rdtsc(CORE0, r).is_ok());
     }
@@ -1190,7 +1203,10 @@ mod tests {
         let before = m.core_now(CORE0);
         let ts = m.ocall_rdtsc(CORE0);
         let elapsed = ts - before;
-        assert!((8_000..=15_000).contains(&elapsed.raw()), "ocall = {elapsed}");
+        assert!(
+            (8_000..=15_000).contains(&elapsed.raw()),
+            "ocall = {elapsed}"
+        );
     }
 
     #[test]
@@ -1368,9 +1384,7 @@ mod tests {
         assert_ne!(m.last_mee_hit(), Some(mee_engine::HitLevel::Versions));
         // Unaligned / unmapped targets are rejected.
         assert!(m.epc_evict_page(p, base + 64u64).is_err());
-        assert!(m
-            .epc_evict_page(p, VirtAddr::new(0xdead_d000))
-            .is_err());
+        assert!(m.epc_evict_page(p, VirtAddr::new(0xdead_d000)).is_err());
     }
 
     /// The translation memo can never serve a stale entry: under random
@@ -1418,10 +1432,7 @@ mod tests {
                         2 => {
                             let a = memo.epc_evict_page(pm, page(s));
                             let b = plain.epc_evict_page(pp, page(s));
-                            assert_eq!(
-                                a.map_err(|e| e.to_string()),
-                                b.map_err(|e| e.to_string())
-                            );
+                            assert_eq!(a.map_err(|e| e.to_string()), b.map_err(|e| e.to_string()));
                         }
                         3 => {
                             let digest = rng.random();
@@ -1489,9 +1500,21 @@ mod tests {
                     // the same L1/L2/LLC set, so sweep-induced LLC evictions
                     // routinely hit lines the sweeping core still caches
                     // privately.
-                    cfg.l1 = CacheConfig { sets: 1, ways: 4, line_size: 64 };
-                    cfg.l2 = CacheConfig { sets: 1, ways: 4, line_size: 64 };
-                    cfg.llc = CacheConfig { sets: 1, ways: 8, line_size: 64 };
+                    cfg.l1 = CacheConfig {
+                        sets: 1,
+                        ways: 4,
+                        line_size: 64,
+                    };
+                    cfg.l2 = CacheConfig {
+                        sets: 1,
+                        ways: 4,
+                        line_size: 64,
+                    };
+                    cfg.llc = CacheConfig {
+                        sets: 1,
+                        ways: 8,
+                        line_size: 64,
+                    };
                     Machine::new(cfg).unwrap()
                 };
                 let mut a = mk(); // drives sweep_read_flush
@@ -1518,8 +1541,7 @@ mod tests {
                             .map(|_| addr(rng.random_range(0usize..POOL)))
                             .collect();
                         let rev = rng.random_range(0u8..2) == 1;
-                        let before: Vec<_> =
-                            lines.iter().map(|&l| residency(&a, l)).collect();
+                        let before: Vec<_> = lines.iter().map(|&l| residency(&a, l)).collect();
                         let total = a.sweep_read_flush(CORE0, proc_a, &addrs, rev).unwrap();
                         let order: Vec<VirtAddr> = if rev {
                             addrs.iter().rev().copied().collect()
@@ -1538,10 +1560,7 @@ mod tests {
                             .collect();
                         for (i, &l) in lines.iter().enumerate() {
                             let (was_private, was_llc) = before[i];
-                            if was_private
-                                && was_llc
-                                && !a.llc().contains(l)
-                                && !swept.contains(&l)
+                            if was_private && was_llc && !a.llc().contains(l) && !swept.contains(&l)
                             {
                                 // An LLC eviction back-invalidated a line the
                                 // sweeping core still held privately.

@@ -1,8 +1,8 @@
 //! The differential oracle: run one trace on two machine builds and diff
 //! the observable transcripts.
 //!
-//! This is the gate for any future engine rewrite (e.g. an event-driven
-//! core): build the current machine and the candidate from the same config,
+//! This is the gate for any future machine rewrite (e.g. a new cache or MEE
+//! model): build the current machine and the candidate from the same config,
 //! drive both with the same instruction trace, and demand an empty
 //! [`TranscriptDiff`]. The transcript records everything an attacker-level
 //! observer can see — per-op latency, loaded values, faults, and the

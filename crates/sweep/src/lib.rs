@@ -34,14 +34,9 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use mee_obs::HostProfile;
 use mee_rng::stream_seed;
 
-/// Renders a caught panic payload for re-propagation with shard context.
-/// Panic payloads are almost always `&str` or `String`; anything else is
-/// reported as opaque rather than lost.
 /// Best-effort extraction of a panic payload's human-readable message
 /// (`&str` and `String` payloads; anything else is reported opaquely).
 /// Shared with higher orchestration layers (campaigns) so every enriched
@@ -55,12 +50,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "<non-string panic payload>".to_owned()
     }
 }
-
-/// The [`HostProfile`] span name under which [`Sweep::run_profiled`]
-/// records each worker's shard: one `record_n` per worker, with the count
-/// of sessions that worker drained and the wall-clock time it spent
-/// draining them.
-pub const SHARD_SPAN: &str = "sweep_shard";
 
 /// Environment variable pinning the worker-thread count of every sweep
 /// built with [`Sweep::new`].
@@ -239,39 +228,15 @@ impl Sweep {
         F: Fn(usize, &I) -> T + Sync,
     {
         let n = items.len();
-        self.run_core(items, f, |i, _| {
-            format!("sweep item {i} of {n} panicked")
-        })
-        .0
+        self.run_core(items, f, |i, _| format!("sweep item {i} of {n} panicked"))
     }
 
-    /// Like [`Sweep::run`], but also reports host-time profiling: each
-    /// worker records one [`SHARD_SPAN`] span covering the sessions it
-    /// drained, and the per-worker profiles are merged into one
-    /// [`HostProfile`].
-    ///
-    /// The *results* are bit-identical to [`Sweep::run`] for any thread
-    /// count; the *profile* is host wall-clock and therefore never
-    /// deterministic — it is measurement output, kept strictly separate
-    /// from simulated time (see the workspace observability design note).
-    pub fn run_profiled<I, T, F>(&self, items: &[I], f: F) -> (Vec<T>, HostProfile)
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        let n = items.len();
-        self.run_core(items, f, |i, _| {
-            format!("sweep item {i} of {n} panicked")
-        })
-    }
-
-    /// The shared engine behind [`Sweep::run`] and [`Sweep::run_profiled`]:
+    /// The shared engine behind [`Sweep::run`] and [`Sweep::seed_sweep`]:
     /// drains the queue, catches per-session panics, and re-raises the
     /// lowest-indexed one with `describe(index, item)` prepended — the
     /// `mee-spec` counterexample convention (one line, session identity,
     /// replay recipe) applied to worker crashes.
-    fn run_core<I, T, F, D>(&self, items: &[I], f: F, describe: D) -> (Vec<T>, HostProfile)
+    fn run_core<I, T, F, D>(&self, items: &[I], f: F, describe: D) -> Vec<T>
     where
         I: Sync,
         T: Send,
@@ -289,12 +254,9 @@ impl Sweep {
             std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
                 .map_err(|payload| panic_message(payload.as_ref()))
         };
-        let raise = |i: usize, msg: String| -> ! {
-            panic!("{}: {msg}", describe(i, &items[i]))
-        };
+        let raise = |i: usize, msg: String| -> ! { panic!("{}: {msg}", describe(i, &items[i])) };
 
         if workers <= 1 {
-            let start = Instant::now();
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 // Serial execution visits indices in order, so the first
@@ -304,19 +266,15 @@ impl Sweep {
                     Err(msg) => raise(i, msg),
                 }
             }
-            let mut host = HostProfile::new();
-            host.record_n(SHARD_SPAN, n as u64, start.elapsed());
-            return (out, host);
+            return out;
         }
 
         let next = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let profile: Mutex<HostProfile> = Mutex::new(HostProfile::new());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let shard_start = Instant::now();
                     // Collect locally and merge once at the end: the mutex
                     // is touched once per worker, not once per session.
                     let mut local = Vec::new();
@@ -331,17 +289,10 @@ impl Sweep {
                             Err(msg) => local_panics.push((i, msg)),
                         }
                     }
-                    let drained = (local.len() + local_panics.len()) as u64;
                     collected.lock().unwrap().extend(local);
                     if !local_panics.is_empty() {
                         panics.lock().unwrap().extend(local_panics);
                     }
-                    // HostProfile::merge is commutative, so the merge order
-                    // (which *is* scheduling-dependent) cannot change the
-                    // final aggregate.
-                    let mut shard = HostProfile::new();
-                    shard.record_n(SHARD_SPAN, drained, shard_start.elapsed());
-                    profile.lock().unwrap().merge(&shard);
                 });
             }
         });
@@ -354,8 +305,7 @@ impl Sweep {
         let mut indexed = collected.into_inner().unwrap();
         indexed.sort_unstable_by_key(|&(i, _)| i);
         debug_assert_eq!(indexed.len(), n, "work queue dropped sessions");
-        let out = indexed.into_iter().map(|(_, t)| t).collect();
-        (out, profile.into_inner().unwrap())
+        indexed.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Runs an `n`-session seed sweep rooted at `root`: session `i` calls
@@ -366,18 +316,6 @@ impl Sweep {
     /// one-line replay recipe attached (lowest index deterministically
     /// when several panic — see [`Sweep::run`]).
     pub fn seed_sweep<T, F>(&self, root: u64, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SessionSpec) -> T + Sync,
-    {
-        let specs = session_seeds(root, n);
-        self.run_core(&specs, |_, &spec| f(spec), seed_sweep_context(root, n))
-            .0
-    }
-
-    /// The profiled form of [`Sweep::seed_sweep`]: same results, plus the
-    /// merged per-worker shard profile from [`Sweep::run_profiled`].
-    pub fn seed_sweep_profiled<T, F>(&self, root: u64, n: usize, f: F) -> (Vec<T>, HostProfile)
     where
         T: Send,
         F: Fn(SessionSpec) -> T + Sync,
@@ -501,7 +439,15 @@ mod tests {
         assert_eq!(parse_threads_override("1"), Ok(1));
         assert_eq!(parse_threads_override("64"), Ok(64));
         assert_eq!(parse_threads_override(" 8 "), Ok(8), "whitespace trimmed");
-        for bad in ["0", "-2", "", "many", "4.5", "0x10", "999999999999999999999999999999"] {
+        for bad in [
+            "0",
+            "-2",
+            "",
+            "many",
+            "4.5",
+            "0x10",
+            "999999999999999999999999999999",
+        ] {
             let err = parse_threads_override(bad).unwrap_err();
             assert_eq!(err.value, bad, "error must echo the offending value");
             let msg = err.to_string();
@@ -568,7 +514,10 @@ mod tests {
             })
         }));
         assert!(msg.contains("item 5 of 16"), "no shard context in: {msg}");
-        assert!(msg.contains("session 5 exploded"), "original payload lost: {msg}");
+        assert!(
+            msg.contains("session 5 exploded"),
+            "original payload lost: {msg}"
+        );
     }
 
     #[test]
@@ -625,28 +574,10 @@ mod tests {
             })
         }));
         assert!(msg.contains("item 1 of 4"), "no shard context in: {msg}");
-        assert!(msg.contains("non-string panic payload"), "payload kind lost: {msg}");
-    }
-
-    #[test]
-    fn profiled_results_match_unprofiled_bit_for_bit() {
-        let plain = Sweep::serial().seed_sweep(2019, 32, chew);
-        for threads in [1, 2, 4, 8] {
-            let (profiled, host) = Sweep::with_threads(threads).seed_sweep_profiled(2019, 32, chew);
-            assert_eq!(plain, profiled, "{threads} threads diverged under profiling");
-            let shard = host.span(SHARD_SPAN).expect("shard span recorded");
-            // Every session is covered by exactly one worker's shard span.
-            assert_eq!(shard.count, 32, "shard spans must cover every session");
-            assert!(shard.count >= 1);
-        }
-    }
-
-    #[test]
-    fn profiled_empty_sweep_records_an_empty_shard() {
-        let (out, host) = Sweep::with_threads(4).run_profiled(&[] as &[u64], |_, &x| x);
-        assert!(out.is_empty());
-        let shard = host.span(SHARD_SPAN).expect("serial path still records the span");
-        assert_eq!(shard.count, 0);
+        assert!(
+            msg.contains("non-string panic payload"),
+            "payload kind lost: {msg}"
+        );
     }
 
     /// Wall-clock smoke check: a parallel sweep must never be

@@ -1,19 +1,18 @@
-//! The differential gate for the event-driven scheduler core: the
-//! cycle-stepped and event-driven engines must be *bit-identical* on every
-//! observable — per-op latencies, loaded values, MEE hit levels, final
-//! MEE/LLC statistics, decoded channel bits, and fault replays.
+//! The differential tier for the scheduler's one remaining choice, the
+//! hook schedule, and for the host-speed shortcuts that must not change a
+//! simulation.
 //!
-//! Three tiers of evidence, cheapest first:
-//!
-//! * seeded random instruction traces through the [`DifferentialOracle`]
+//! * Full scheduler-driven sessions (establish + transmit, clean and under
+//!   a light fault plan — the resilience shape) run with a hook's own
+//!   `HookSchedule` and again with the same hook wrapped in
+//!   [`EveryStep`], which has it called before every step. The two must be
+//!   bit-identical: a narrowed schedule may only skip no-op calls.
+//! * The translation memo on vs off, through the [`DifferentialOracle`] on
+//!   the establishment ladder and ≥32 seeded random traces
 //!   (`MEE_PROP_CASES` raises the count, `MEE_PROP_SEED` replays one case
-//!   from a failure's one-line recipe);
-//! * the paper-shaped traces — the figure-5 ladder walk and the figure-6
-//!   covert exchange — through the same oracle;
-//! * full scheduler-driven sessions (establish + transmit, with and
-//!   without a fault plan — the resilience shape), where the engines
-//!   actually take different code paths and the event queue's lazy
-//!   invalidation is exercised by preemptions overriding queued wake-ups.
+//!   from a failure's one-line recipe), and on whole Algorithm 1
+//!   establishments.
+//! * The batched establishment sweep vs its per-op expansion.
 
 use mee_covert::attack::channel::{random_bits, ChannelConfig, Session};
 use mee_covert::attack::recon::eviction::find_eviction_set;
@@ -22,46 +21,15 @@ use mee_covert::attack::threshold::LatencyClassifier;
 use mee_covert::cache::CacheStats;
 use mee_covert::engine::MeeStats;
 use mee_covert::faults::{FaultInjector, FaultIntensity, FaultPlan, FaultTargets};
-use mee_covert::machine::{EngineKind, Machine, MachineConfig, PolicyKind, ProcId};
+use mee_covert::machine::{CoreId, Machine, MachineConfig, NoopHook, PolicyKind, ProcId, StepHook};
 use mee_covert::mem::AddressSpaceKind;
 use mee_covert::rng::prop::{check, PropConfig};
 use mee_covert::rng::{stream_seed, Rng};
 use mee_covert::spec::machine_spec::tiny_config;
-use mee_covert::spec::oracle::{
-    covert_exchange_trace, decode_exchange, OpKind, OracleOp, SPY_BASE, TROJAN_BASE,
-};
+use mee_covert::spec::oracle::{OpKind, OracleOp, SPY_BASE, TROJAN_BASE};
 use mee_covert::spec::DifferentialOracle;
 use mee_covert::testbed;
 use mee_covert::types::{Cycles, ModelError, VirtAddr};
-
-/// The oracle's two-enclave machine (2-set × 2-way MEE cache), pinned to
-/// one scheduler core.
-fn tiny_machine(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelError> {
-    let mut m = Machine::new(tiny_config(PolicyKind::TreePlru).with_engine(engine))?;
-    let spy = m.create_process(AddressSpaceKind::Enclave);
-    m.map_pages(spy, VirtAddr::new(SPY_BASE), 2)?;
-    let trojan = m.create_process(AddressSpaceKind::Enclave);
-    m.map_pages(trojan, VirtAddr::new(TROJAN_BASE), 2)?;
-    Ok((m, vec![spy, trojan]))
-}
-
-type MachineBuilder = fn() -> Result<(Machine, Vec<ProcId>), ModelError>;
-
-fn build_cycle_stepped() -> Result<(Machine, Vec<ProcId>), ModelError> {
-    tiny_machine(EngineKind::CycleStepped)
-}
-
-fn build_event_driven() -> Result<(Machine, Vec<ProcId>), ModelError> {
-    tiny_machine(EngineKind::EventDriven)
-}
-
-/// Cycle-stepped as side A, event-driven as side B.
-fn engines_oracle() -> DifferentialOracle<MachineBuilder, MachineBuilder> {
-    DifferentialOracle::new(
-        build_cycle_stepped as MachineBuilder,
-        build_event_driven as MachineBuilder,
-    )
-}
 
 /// A random instruction trace over both enclaves' pages: mostly reads and
 /// flushes (the attack's vocabulary), some writes, fences, and idle spins.
@@ -89,65 +57,10 @@ fn random_trace(rng: &mut Rng) -> Vec<OracleOp> {
     ops
 }
 
-#[test]
-fn random_traces_diff_empty_across_engines() {
-    // ≥32 seeded cases by default; every failure prints a replay recipe.
-    check(
-        "engine_equivalence::random_traces",
-        &PropConfig::from_env(32),
-        |rng| {
-            let trace = random_trace(rng);
-            let diff = engines_oracle().run(&trace).expect("both engines build");
-            assert!(diff.is_empty(), "engines diverged:\n{diff}");
-        },
-    );
-}
-
-#[test]
-fn fig5_shaped_ladder_trace_diff_empty() {
-    // The figure-5 shape: flush-and-reload probes of one monitor line
-    // while a widening working set pushes its walk footprint down the
-    // integrity-tree ladder, so successive probes stop at deeper levels.
-    let mut trace = vec![OracleOp::read(0, 0, SPY_BASE)];
-    for round in 0..6u64 {
-        for off in 0..(3 * round) {
-            let line = TROJAN_BASE + 512 * (off % 16);
-            trace.push(OracleOp::clflush(1, 1, line));
-            trace.push(OracleOp::read(1, 1, line));
-        }
-        trace.push(OracleOp::clflush(0, 0, SPY_BASE));
-        trace.push(OracleOp {
-            core: 0,
-            proc: 0,
-            kind: OpKind::Mfence,
-        });
-        trace.push(OracleOp::read(0, 0, SPY_BASE));
-    }
-    let diff = engines_oracle().run(&trace).expect("both engines build");
-    assert!(diff.is_empty(), "fig5 ladder shape diverged:\n{diff}");
-}
-
-#[test]
-fn fig6_shaped_covert_exchange_diff_empty_and_decodes_identically() {
-    let bits = random_bits(16, testbed::SEED);
-    let exchange = covert_exchange_trace(&bits);
-    let oracle = engines_oracle();
-    let diff = oracle.run(&exchange.trace).expect("both engines build");
-    assert!(diff.is_empty(), "fig6 exchange shape diverged:\n{diff}");
-
-    let a = oracle.transcript_a(&exchange.trace).unwrap();
-    let b = oracle.transcript_b(&exchange.trace).unwrap();
-    assert_eq!(
-        decode_exchange(&a, &exchange),
-        decode_exchange(&b, &exchange),
-        "same transcripts must decode to the same bits"
-    );
-}
-
 /// The oracle machine with more mapped pages — room for an
 /// establishment-shaped candidate ladder (4 pages per enclave).
-fn ladder_machine(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelError> {
-    let mut m = Machine::new(tiny_config(PolicyKind::TreePlru).with_engine(engine))?;
+fn ladder_machine() -> Result<(Machine, Vec<ProcId>), ModelError> {
+    let mut m = Machine::new(tiny_config(PolicyKind::TreePlru))?;
     let spy = m.create_process(AddressSpaceKind::Enclave);
     m.map_pages(spy, VirtAddr::new(SPY_BASE), 4)?;
     let trojan = m.create_process(AddressSpaceKind::Enclave);
@@ -157,8 +70,8 @@ fn ladder_machine(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelErr
 
 /// [`ladder_machine`] with the translation memo disabled — the machine the
 /// memoised one must be indistinguishable from.
-fn ladder_machine_no_memo(engine: EngineKind) -> Result<(Machine, Vec<ProcId>), ModelError> {
-    let mut cfg = tiny_config(PolicyKind::TreePlru).with_engine(engine);
+fn ladder_machine_no_memo() -> Result<(Machine, Vec<ProcId>), ModelError> {
+    let mut cfg = tiny_config(PolicyKind::TreePlru);
     cfg.tlb_entries = 0;
     let mut m = Machine::new(cfg)?;
     let spy = m.create_process(AddressSpaceKind::Enclave);
@@ -197,43 +110,35 @@ fn establishment_ladder_trace() -> Vec<mee_covert::spec::oracle::OracleOp> {
         trace.push(OracleOp::clflush(1, 1, victim));
         // Spy activity riding along on the other core.
         trace.push(OracleOp::read(0, 0, SPY_BASE + 512 * u64::from(set_size)));
-        trace.push(OracleOp::clflush(0, 0, SPY_BASE + 512 * u64::from(set_size)));
+        trace.push(OracleOp::clflush(
+            0,
+            0,
+            SPY_BASE + 512 * u64::from(set_size),
+        ));
     }
     trace
 }
 
 #[test]
-fn establishment_ladder_diff_empty_across_engines() {
-    let oracle: DifferentialOracle<MachineBuilder, MachineBuilder> = DifferentialOracle::new(
-        (|| ladder_machine(EngineKind::CycleStepped)) as MachineBuilder,
-        (|| ladder_machine(EngineKind::EventDriven)) as MachineBuilder,
-    );
+fn translation_memo_diff_empty_on_establishment_ladder() {
+    // Memo on vs off: translation is timing-free, so the transcripts must
+    // be empty-diff, on the establishment ladder and on random traces.
+    let oracle = DifferentialOracle::new(ladder_machine, ladder_machine_no_memo);
     let diff = oracle
         .run(&establishment_ladder_trace())
-        .expect("both engines build");
-    assert!(diff.is_empty(), "establishment ladder diverged:\n{diff}");
-}
-
-#[test]
-fn translation_memo_diff_empty_on_establishment_ladder() {
-    // Same engine, memo on vs off: translation is timing-free, so the
-    // transcripts must be empty-diff — the tentpole's core claim.
-    for engine in [EngineKind::CycleStepped, EngineKind::EventDriven] {
-        let oracle: DifferentialOracle<_, _> = DifferentialOracle::new(
-            move || ladder_machine(engine),
-            move || ladder_machine_no_memo(engine),
-        );
-        let diff = oracle
-            .run(&establishment_ladder_trace())
-            .expect("both machines build");
-        assert!(diff.is_empty(), "memo on/off diverged ({engine:?}):\n{diff}");
-        let trace = {
-            let mut rng = Rng::seed_from_u64(testbed::SEED ^ 0x7b0);
-            random_trace(&mut rng)
-        };
-        let diff = oracle.run(&trace).expect("both machines build");
-        assert!(diff.is_empty(), "memo on/off diverged on random trace:\n{diff}");
-    }
+        .expect("both machines build");
+    assert!(diff.is_empty(), "memo on/off diverged:\n{diff}");
+    check(
+        "engine_equivalence::memo_random_traces",
+        &PropConfig::from_env(32),
+        |rng| {
+            let diff = oracle.run(&random_trace(rng)).expect("both machines build");
+            assert!(
+                diff.is_empty(),
+                "memo on/off diverged on random trace:\n{diff}"
+            );
+        },
+    );
 }
 
 /// Everything the translation memo must not change about one whole
@@ -291,32 +196,29 @@ fn batched_sweep_matches_expanded_loop() {
     // comparison is on everything that survives the trace.
     use mee_covert::spec::oracle::run_trace;
     let sweep_trace = establishment_ladder_trace();
-    let split_trace: Vec<OracleOp> = sweep_trace.iter().flat_map(|op| op.expand_sweep()).collect();
-    for engine in [EngineKind::CycleStepped, EngineKind::EventDriven] {
-        let (mut ma, procs_a) = ladder_machine(engine).expect("build");
-        let (mut mb, procs_b) = ladder_machine(engine).expect("build");
-        let ta = run_trace(&mut ma, &procs_a, &sweep_trace);
-        let tb = run_trace(&mut mb, &procs_b, &split_trace);
-        let total = |t: &mee_covert::spec::oracle::Transcript| -> u64 {
-            t.records.iter().map(|r| r.latency).sum()
-        };
-        assert_eq!(total(&ta), total(&tb), "total latency diverged ({engine:?})");
-        assert_eq!(ta.mee_stats, tb.mee_stats, "MEE stats diverged ({engine:?})");
-        assert_eq!(ta.llc_stats, tb.llc_stats, "LLC stats diverged ({engine:?})");
-        assert_eq!(ta.mee_resident, tb.mee_resident, "MEE residency diverged");
-        for c in 0..ma.core_count() {
-            let id = mee_covert::machine::CoreId::new(c);
-            assert_eq!(
-                ma.core_now(id),
-                mb.core_now(id),
-                "core {c} clock diverged ({engine:?})"
-            );
-        }
-        assert!(
-            ta.records.iter().all(|r| r.error.is_none()),
-            "sweep trace errored"
-        );
+    let split_trace: Vec<OracleOp> = sweep_trace
+        .iter()
+        .flat_map(|op| op.expand_sweep())
+        .collect();
+    let (mut ma, procs_a) = ladder_machine().expect("build");
+    let (mut mb, procs_b) = ladder_machine().expect("build");
+    let ta = run_trace(&mut ma, &procs_a, &sweep_trace);
+    let tb = run_trace(&mut mb, &procs_b, &split_trace);
+    let total = |t: &mee_covert::spec::oracle::Transcript| -> u64 {
+        t.records.iter().map(|r| r.latency).sum()
+    };
+    assert_eq!(total(&ta), total(&tb), "total latency diverged");
+    assert_eq!(ta.mee_stats, tb.mee_stats, "MEE stats diverged");
+    assert_eq!(ta.llc_stats, tb.llc_stats, "LLC stats diverged");
+    assert_eq!(ta.mee_resident, tb.mee_resident, "MEE residency diverged");
+    for c in 0..ma.core_count() {
+        let id = CoreId::new(c);
+        assert_eq!(ma.core_now(id), mb.core_now(id), "core {c} clock diverged");
     }
+    assert!(
+        ta.records.iter().all(|r| r.error.is_none()),
+        "sweep trace errored"
+    );
 }
 
 /// Everything observable about a full scheduler-driven session.
@@ -334,28 +236,39 @@ struct SessionFingerprint {
     llc_stats: CacheStats,
 }
 
-fn run_session(
-    engine: EngineKind,
-    plan: Option<&FaultPlan>,
-    bits: &[bool],
-) -> (SessionFingerprint, Vec<Cycles>) {
-    let cfg = MachineConfig::default().with_engine(engine);
-    let mut setup = AttackSetup::with_config(cfg, testbed::SEED).expect("setup");
+/// Forwards to a hook but keeps the default `HookSchedule::EveryStep`,
+/// so the scheduler calls it before every step — the reference a
+/// narrowed schedule is held to.
+struct EveryStep<H: StepHook>(H);
+
+impl<H: StepHook> StepHook for EveryStep<H> {
+    fn before_step(&mut self, machine: &mut Machine, now: Cycles) -> Result<(), ModelError> {
+        self.0.before_step(machine, now)
+    }
+}
+
+/// The seed-2019 figure-profile machine with an established channel.
+fn establish() -> (AttackSetup, Session) {
+    let mut setup =
+        AttackSetup::with_config(MachineConfig::default(), testbed::SEED).expect("setup");
     let session = Session::establish(&mut setup, &ChannelConfig::sweep_setup()).expect("establish");
-    let (outcome, fired) = match plan {
-        None => (session.transmit(&mut setup, bits).expect("transmit"), Vec::new()),
-        Some(plan) => {
-            let mut injector = FaultInjector::new(plan.clone());
-            let outcome = session
-                .transmit_hooked(&mut setup, bits, &mut [], &mut injector)
-                .expect("faulted transmit");
-            (outcome, injector.applied().iter().map(|e| e.at).collect())
-        }
-    };
+    (setup, session)
+}
+
+/// Sends `bits` with `hook` on the scheduler and fingerprints the result.
+fn transmit(
+    setup: &mut AttackSetup,
+    session: &Session,
+    bits: &[bool],
+    hook: &mut dyn StepHook,
+) -> SessionFingerprint {
+    let outcome = session
+        .transmit_hooked(setup, bits, &mut [], hook)
+        .expect("transmit");
     let final_clocks = (0..setup.machine.core_count())
-        .map(|c| setup.machine.core_now(mee_covert::machine::CoreId::new(c)).raw())
+        .map(|c| setup.machine.core_now(CoreId::new(c)).raw())
         .collect();
-    let fp = SessionFingerprint {
+    SessionFingerprint {
         eviction_set: session.eviction_set.clone(),
         monitor: session.monitor,
         sent: outcome.sent,
@@ -366,41 +279,76 @@ fn run_session(
         final_clocks,
         mee_stats: setup.machine.mee().stats(),
         llc_stats: setup.machine.llc().stats(),
-    };
-    (fp, fired)
+    }
 }
 
 #[test]
 fn full_session_bit_identical_across_engines() {
+    // `NoopHook` reports `Idle`, so the bare run never calls it.
     let bits = random_bits(24, testbed::SEED ^ 0x5e55);
-    let (a, _) = run_session(EngineKind::CycleStepped, None, &bits);
-    let (b, _) = run_session(EngineKind::EventDriven, None, &bits);
-    assert_eq!(a, b, "clean session diverged across engines");
+    let (mut setup, session) = establish();
+    let idle = transmit(&mut setup, &session, &bits, &mut NoopHook);
+    let (mut setup, session) = establish();
+    let every = transmit(&mut setup, &session, &bits, &mut EveryStep(NoopHook));
+    assert_eq!(
+        idle, every,
+        "clean session diverged under an every-step hook"
+    );
 }
 
 #[test]
 fn faulted_session_bit_identical_across_engines() {
     // The resilience shape: a light fault plan (preemption bursts, clock
-    // drift, MEE flushes) riding on the transmission. Preemptions move a
-    // core's clock while its wake-up is queued — the event engine's
-    // cancel/reschedule path — and the injector's `At` schedule must fire
-    // each fault before the exact same step as the every-step baseline.
+    // drift, MEE flushes) laid over the transmission itself, after
+    // establishment. The injector's `At` schedule must fire each fault
+    // before the exact step the every-step reference fires it at, so
+    // preemptions land mid-run at the same point on both sides.
     let bits = random_bits(24, testbed::SEED ^ 0xfa51);
-    let targets = FaultTargets::cores(
-        mee_covert::machine::CoreId::new(0),
-        mee_covert::machine::CoreId::new(1),
+    let run = |every_step: bool| {
+        let (mut setup, session) = establish();
+        let (spy, trojan) = (session.receiver.core, session.sender.core);
+        let start = setup
+            .machine
+            .core_now(spy)
+            .max(setup.machine.core_now(trojan));
+        let span = session.config.window * bits.len() as u64;
+        let plan = FaultPlan::generate(
+            FaultIntensity::Light,
+            &FaultTargets::cores(spy, trojan),
+            start,
+            span,
+            testbed::SEED,
+        );
+        assert!(!plan.is_empty(), "light plan should carry events");
+        let mut injector = FaultInjector::new(plan);
+        let fp = if every_step {
+            let mut wrapped = EveryStep(injector);
+            let fp = transmit(&mut setup, &session, &bits, &mut wrapped);
+            injector = wrapped.0;
+            fp
+        } else {
+            transmit(&mut setup, &session, &bits, &mut injector)
+        };
+        let fired: Vec<Cycles> = injector.applied().iter().map(|e| e.at).collect();
+        (fp, start, fired)
+    };
+    let (scheduled, start, fired) = run(false);
+    let (every, every_start, every_fired) = run(true);
+    assert_eq!(start, every_start, "establishment diverged");
+    assert!(
+        !fired.is_empty(),
+        "plan should actually fire during transmit"
     );
-    let plan = FaultPlan::generate(
-        FaultIntensity::Light,
-        &targets,
-        Cycles::new(200_000),
-        Cycles::new(2_000_000),
-        testbed::SEED,
+    assert!(
+        fired.iter().all(|&at| at > start),
+        "every fault must fall after establishment: {fired:?} vs start {start}"
     );
-    assert!(!plan.is_empty(), "light plan should carry events");
-    let (a, fired_a) = run_session(EngineKind::CycleStepped, Some(&plan), &bits);
-    let (b, fired_b) = run_session(EngineKind::EventDriven, Some(&plan), &bits);
-    assert_eq!(fired_a, fired_b, "fault replay diverged across engines");
-    assert!(!fired_a.is_empty(), "plan should actually fire during transmit");
-    assert_eq!(a, b, "faulted session diverged across engines");
+    assert_eq!(
+        fired, every_fired,
+        "fault replay diverged under an every-step hook"
+    );
+    assert_eq!(
+        scheduled, every,
+        "faulted session diverged under an every-step hook"
+    );
 }
