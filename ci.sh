@@ -11,7 +11,7 @@ cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Formatting gate, so far for the crates that have been brought to rustfmt
 # style; extend the package list as more crates are formatted.
-cargo fmt -p mee-machine -p mee-sweep -- --check
+cargo fmt -p mee-machine -p mee-sweep -p mee-campaign -- --check
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \
@@ -79,6 +79,12 @@ cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 --thre
   --dir "${CAMPAIGN_TMP}/kill" --resume --out "${CAMPAIGN_TMP}/resumed.json" >/dev/null
 cmp BENCH_campaign.json "${CAMPAIGN_TMP}/resumed.json" ||
   { echo "bench-campaign: resumed artifact differs from uninterrupted reference" >&2; exit 1; }
+# A malformed campaign knob is a usage error (exit 2), like a bad flag.
+status=0
+MEE_CAMPAIGN_SHARDS=0 cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 \
+  --out "${CAMPAIGN_TMP}/bad_knob.json" >/dev/null 2>&1 || status=$?
+[ "${status}" -eq 2 ] ||
+  { echo "bench-campaign: expected exit 2 on MEE_CAMPAIGN_SHARDS=0, got ${status}" >&2; exit 1; }
 for key in name root_seed sessions_planned shards sessions_aggregated \
            quarantined_shards missing_sessions series count mean var min max \
            p10 p50 p90 p95; do

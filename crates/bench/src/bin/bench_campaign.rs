@@ -45,6 +45,11 @@ fn usage_exit(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// A malformed `MEE_CAMPAIGN_*` knob is a usage error, like a bad flag.
+fn knob_exit<T>(e: mee_rng::env_knob::EnvKnobError) -> T {
+    usage_exit(&e.to_string())
+}
+
 fn parse_campaign_args<I: IntoIterator<Item = String>>(args: I) -> CampaignArgs {
     let mut out = CampaignArgs {
         shards: None,
@@ -57,14 +62,18 @@ fn parse_campaign_args<I: IntoIterator<Item = String>>(args: I) -> CampaignArgs 
     while let Some(s) = it.next() {
         match s.as_str() {
             "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage_exit("--shards needs a value"));
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--shards needs a value"));
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => out.shards = Some(n),
                     _ => usage_exit(&format!("invalid --shards value {v:?}")),
                 }
             }
             "--dir" => {
-                let v = it.next().unwrap_or_else(|| usage_exit("--dir needs a path"));
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--dir needs a path"));
                 out.dir = Some(std::path::PathBuf::from(v));
             }
             "--resume" => out.resume = true,
@@ -96,12 +105,17 @@ fn main() {
     let sessions = 16 * args.scale;
     // Precedence mirrors the rest of the workspace: explicit flag beats
     // environment knob beats scale-derived default. Both knobs go through
-    // the strict-parse grammar (a malformed value panics loudly there).
-    let shards = campaign_args
-        .shards
-        .or_else(mee_campaign::shards_from_env)
-        .unwrap_or(8 * args.scale);
-    let dir = campaign_args.dir.clone().or_else(mee_campaign::dir_from_env);
+    // the strict-parse grammar; a malformed value is a usage error.
+    let shards = match campaign_args.shards {
+        Some(n) => n,
+        None => mee_campaign::shards_from_env()
+            .unwrap_or_else(knob_exit)
+            .unwrap_or(8 * args.scale),
+    };
+    let dir = match campaign_args.dir.clone() {
+        Some(dir) => Some(dir),
+        None => mee_campaign::dir_from_env().unwrap_or_else(knob_exit),
+    };
     let bits = 16 * args.scale;
 
     let mut plan = CampaignPlan::new("channel/campaign", args.seed, sessions, shards)

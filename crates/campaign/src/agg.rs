@@ -80,8 +80,8 @@ impl StreamStats {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         self.mean += delta * (other.count as f64 / total as f64);
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64 / total as f64);
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64 * other.count as f64 / total as f64);
         self.count = total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -417,8 +417,7 @@ mod tests {
             s.push(v);
         }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-            / values.len() as f64;
+        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
         assert_eq!(s.count, 6);
         assert!((s.mean - mean).abs() < 1e-12);
         assert!((s.variance() - var).abs() < 1e-12);
@@ -485,7 +484,10 @@ mod tests {
             sk.push(1.0 + (i as f64 / n as f64).powi(3) * 999.0);
         }
         assert_eq!(sk.count(), n as u64);
-        for (p, want) in [(50.0, 1.0 + 0.5f64.powi(3) * 999.0), (95.0, 1.0 + 0.95f64.powi(3) * 999.0)] {
+        for (p, want) in [
+            (50.0, 1.0 + 0.5f64.powi(3) * 999.0),
+            (95.0, 1.0 + 0.95f64.powi(3) * 999.0),
+        ] {
             let got = sk.quantile(p).unwrap();
             let rel = (got - want).abs() / want;
             assert!(rel < 0.01, "p{p}: got {got}, want ≈{want} (rel {rel})");

@@ -106,7 +106,11 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io { path, source } => {
-                write!(f, "campaign checkpoint I/O error at {}: {source}", path.display())
+                write!(
+                    f,
+                    "campaign checkpoint I/O error at {}: {source}",
+                    path.display()
+                )
             }
             CheckpointError::Corrupt { path, detail } => write!(
                 f,
@@ -248,10 +252,14 @@ pub fn load(
     decode(&raw, identity, index, expected_range)
         .map(Some)
         .map_err(|e| match e {
-            DecodeError::Corrupt(detail) => CheckpointError::Corrupt { path: path.clone(), detail },
-            DecodeError::Mismatch(detail) => {
-                CheckpointError::Mismatch { path: path.clone(), detail }
-            }
+            DecodeError::Corrupt(detail) => CheckpointError::Corrupt {
+                path: path.clone(),
+                detail,
+            },
+            DecodeError::Mismatch(detail) => CheckpointError::Mismatch {
+                path: path.clone(),
+                detail,
+            },
         })
 }
 
@@ -291,9 +299,13 @@ fn decode(
     let mut lines = body.lines();
     let magic = lines.next().ok_or_else(|| Corrupt("empty file".into()))?;
     if magic != MAGIC {
-        return Err(Mismatch(format!("version line {magic:?}, expected {MAGIC:?}")));
+        return Err(Mismatch(format!(
+            "version line {magic:?}, expected {MAGIC:?}"
+        )));
     }
-    let fp_line = lines.next().ok_or_else(|| Corrupt("missing fingerprint".into()))?;
+    let fp_line = lines
+        .next()
+        .ok_or_else(|| Corrupt("missing fingerprint".into()))?;
     let fp = fp_line
         .strip_prefix("fingerprint ")
         .and_then(|s| u64::from_str_radix(s, 16).ok())
@@ -306,10 +318,16 @@ fn decode(
         )));
     }
     // Fingerprint equality already implies campaign-line equality; skip it.
-    let _campaign_line = lines.next().ok_or_else(|| Corrupt("missing campaign line".into()))?;
-    let shard_line = lines.next().ok_or_else(|| Corrupt("missing shard line".into()))?;
-    let expected_shard_line =
-        format!("shard {index} sessions {}..{}", expected_range.start, expected_range.end);
+    let _campaign_line = lines
+        .next()
+        .ok_or_else(|| Corrupt("missing campaign line".into()))?;
+    let shard_line = lines
+        .next()
+        .ok_or_else(|| Corrupt("missing shard line".into()))?;
+    let expected_shard_line = format!(
+        "shard {index} sessions {}..{}",
+        expected_range.start, expected_range.end
+    );
     if shard_line != expected_shard_line {
         return Err(Mismatch(format!(
             "shard line {shard_line:?}, expected {expected_shard_line:?}"
@@ -331,7 +349,9 @@ fn decode(
             || [fields[2], fields[4], fields[6], fields[8], fields[10]]
                 != ["count", "mean", "m2", "min", "max"]
         {
-            return Err(malformed("want `series <name> count <n> mean/m2/min/max <hex bits>`"));
+            return Err(malformed(
+                "want `series <name> count <n> mean/m2/min/max <hex bits>`",
+            ));
         }
         if fields[1] != name {
             return Err(Mismatch(format!(
@@ -339,7 +359,9 @@ fn decode(
                 fields[1]
             )));
         }
-        let count: u64 = fields[3].parse().map_err(|e| malformed(&format!("bad count: {e}")))?;
+        let count: u64 = fields[3]
+            .parse()
+            .map_err(|e| malformed(&format!("bad count: {e}")))?;
         let bits = |i: usize| parse_hex_f64(fields[i]).map_err(Corrupt);
         let stats = StreamStats {
             count,
@@ -367,7 +389,12 @@ fn decode(
         return Err(Corrupt("trailing content after last series".into()));
     }
 
-    Ok(ShardAggregate { shard: index, lo: expected_range.start, hi: expected_range.end, series })
+    Ok(ShardAggregate {
+        shard: index,
+        lo: expected_range.start,
+        hi: expected_range.end,
+        series,
+    })
 }
 
 #[cfg(test)]
@@ -394,7 +421,8 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mee_campaign_ckpt_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("mee_campaign_ckpt_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -436,12 +464,18 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             let err = load(&dir, &id, 1, 4..8).expect_err(&format!("flip at {pos} accepted"));
             assert!(
-                matches!(err, CheckpointError::Corrupt { .. } | CheckpointError::Mismatch { .. }),
+                matches!(
+                    err,
+                    CheckpointError::Corrupt { .. } | CheckpointError::Mismatch { .. }
+                ),
                 "flip at {pos}: wrong error {err}"
             );
         }
         std::fs::write(&path, &pristine).unwrap();
-        assert!(load(&dir, &id, 1, 4..8).unwrap().is_some(), "pristine restored");
+        assert!(
+            load(&dir, &id, 1, 4..8).unwrap().is_some(),
+            "pristine restored"
+        );
     }
 
     #[test]
@@ -457,7 +491,10 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("corrupt campaign checkpoint"), "msg: {msg}");
         assert!(msg.contains("replay:"), "no replay recipe: {msg}");
-        assert!(msg.contains("never silently recomputed"), "policy not stated: {msg}");
+        assert!(
+            msg.contains("never silently recomputed"),
+            "policy not stated: {msg}"
+        );
     }
 
     #[test]
@@ -465,7 +502,10 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let id = identity();
         write(&dir, &id, &shard()).unwrap();
-        let other = CampaignIdentity { root_seed: 7, ..identity() };
+        let other = CampaignIdentity {
+            root_seed: 7,
+            ..identity()
+        };
         let err = load(&dir, &other, 1, 4..8).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "got {err}");
         assert!(err.to_string().contains("different campaign"));
@@ -477,16 +517,52 @@ mod tests {
     #[test]
     fn fingerprint_covers_every_identity_field() {
         let base = identity().fingerprint();
-        assert_ne!(CampaignIdentity { name: "x".into(), ..identity() }.fingerprint(), base);
-        assert_ne!(CampaignIdentity { root_seed: 1, ..identity() }.fingerprint(), base);
-        assert_ne!(CampaignIdentity { sessions: 8, ..identity() }.fingerprint(), base);
-        assert_ne!(CampaignIdentity { shards: 2, ..identity() }.fingerprint(), base);
         assert_ne!(
-            CampaignIdentity { series: vec!["ber".into()], ..identity() }.fingerprint(),
+            CampaignIdentity {
+                name: "x".into(),
+                ..identity()
+            }
+            .fingerprint(),
             base
         );
         assert_ne!(
-            CampaignIdentity { body_version: "test/v2".into(), ..identity() }.fingerprint(),
+            CampaignIdentity {
+                root_seed: 1,
+                ..identity()
+            }
+            .fingerprint(),
+            base
+        );
+        assert_ne!(
+            CampaignIdentity {
+                sessions: 8,
+                ..identity()
+            }
+            .fingerprint(),
+            base
+        );
+        assert_ne!(
+            CampaignIdentity {
+                shards: 2,
+                ..identity()
+            }
+            .fingerprint(),
+            base
+        );
+        assert_ne!(
+            CampaignIdentity {
+                series: vec!["ber".into()],
+                ..identity()
+            }
+            .fingerprint(),
+            base
+        );
+        assert_ne!(
+            CampaignIdentity {
+                body_version: "test/v2".into(),
+                ..identity()
+            }
+            .fingerprint(),
             base
         );
     }
@@ -500,6 +576,9 @@ mod tests {
             .filter_map(|e| e.ok())
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
-        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
     }
 }

@@ -1,72 +1,52 @@
-//! The campaign execution engine: a work-stealing attempt queue drained by
-//! scoped worker threads, coordinated by the calling thread.
+//! The campaign execution engine: every pending shard is one item of a
+//! [`mee_sweep::Sweep::run`], so campaigns and sweeps share one worker
+//! pool. The worker that takes a shard owns it to the end: it runs the
+//! attempts, sleeps out the retry backoff, enforces the watchdog, and
+//! writes the checkpoint. There is no coordinator thread.
 //!
 //! Concurrency model (and why the result is still deterministic):
 //!
 //! * Workers race over *shards*, but each shard's sessions fold serially in
-//!   index order on whichever worker owns the attempt — so a shard
-//!   aggregate is a pure function of the shard, independent of scheduling.
-//! * The coordinator merges completed shard aggregates in ascending shard
-//!   order *after* all shards resolve — so the campaign aggregate is
-//!   independent of completion order, thread count, and (because resumed
-//!   checkpoints are byte-exact round-trips) of whether any shard was
-//!   computed now or in a previous process.
+//!   index order on the worker that owns it — so a shard aggregate is a
+//!   pure function of the shard, independent of scheduling.
+//! * Each shard returns its own event list and host spans; the calling
+//!   thread merges them, and the shard aggregates, in ascending shard
+//!   order *after* all shards resolve — so the campaign aggregate and its
+//!   log are independent of completion order, thread count, and (because
+//!   resumed checkpoints are byte-exact round-trips) of whether any shard
+//!   was computed now or in a previous process.
 //! * Faults (panics, session errors, watchdog timeouts) only ever remove a
 //!   shard from the aggregate (quarantine) or cause a bit-identical
 //!   recompute (retry) — they cannot reorder the fold.
 //!
-//! Cancellation is cooperative: safe Rust cannot kill a thread, so the
-//! watchdog flips the attempt's [`ShardCtx`] flag, marks the attempt stale
-//! (its eventual result is discarded), and requeues the shard. A body that
-//! never polls the flag delays process exit but never corrupts results.
+//! Cancellation is cooperative: safe Rust cannot kill a thread, so an
+//! attempt's [`ShardCtx`] reports itself cancelled once its watchdog
+//! deadline passes (or the campaign stops), and an attempt that returns
+//! after its deadline has its result discarded as timed out. A body that
+//! never polls the flag delays its own shard but never corrupts results.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mee_obs::{CampaignLog, HostProfile, ShardEvent};
-use mee_rng::stream_seed;
+use mee_sweep::Sweep;
 
 use crate::agg::{CampaignAggregate, ShardAggregate};
-use crate::checkpoint;
+use crate::checkpoint::{self, CampaignIdentity};
 use crate::{
     Campaign, CampaignError, CampaignOutcome, QuarantineReason, QuarantinedShard, SessionSpec,
     ShardCtx, CHECKPOINT_LOAD_SPAN, CHECKPOINT_WRITE_SPAN, SHARD_SPAN,
 };
 
-/// One schedulable unit: a numbered attempt at a shard, eligible to run
-/// once `not_before` has passed (exponential backoff lives here).
-struct QueuedAttempt {
-    shard: usize,
-    attempt: u32,
-    not_before: Instant,
-    cancel: Arc<AtomicBool>,
-}
-
-/// How one attempt at a shard ended, from the worker's point of view.
+/// How one attempt at a shard ended.
 enum AttemptOutcome {
-    Done(Box<ShardAggregate>),
+    Done(ShardAggregate),
     Panicked(String),
     Failed(String),
     Cancelled,
-}
-
-enum Msg {
-    Started { shard: usize, attempt: u32 },
-    Finished { shard: usize, attempt: u32, outcome: AttemptOutcome, elapsed: Duration },
-}
-
-/// The coordinator's view of a shard's live attempt.
-struct LiveAttempt {
-    attempt: u32,
-    cancel: Arc<AtomicBool>,
-    /// Watchdog deadline; armed when `Started` arrives (queue wait does
-    /// not count against the timeout).
-    deadline: Option<Instant>,
 }
 
 /// Runs one attempt at a shard: sessions folded strictly in index order,
@@ -81,6 +61,9 @@ where
     let range = plan.shard_range(ctx.shard);
     let nseries = campaign.series().len();
     let current = std::cell::Cell::new(range.start);
+    let context = |index, what: &str| {
+        SessionSpec::new(plan.root_seed, index).replay_context(plan.root_seed, None, what)
+    };
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut agg = ShardAggregate::empty(ctx.shard, range.start, range.end, nseries);
         for index in range.clone() {
@@ -88,245 +71,161 @@ where
                 return AttemptOutcome::Cancelled;
             }
             current.set(index);
-            let spec = SessionSpec { index, seed: stream_seed(plan.root_seed, index as u64) };
-            match body(spec, ctx) {
+            match body(SessionSpec::new(plan.root_seed, index), ctx) {
                 Ok(values) => agg.push_session(&values),
-                Err(message) => {
-                    return AttemptOutcome::Failed(format!(
-                        "session {index} (seed 0x{seed:016x}): {message} | replay: rerun \
-                         session {index} alone — its seed is stream_seed({root}, {index})",
-                        seed = spec.seed,
-                        root = plan.root_seed,
-                    ))
-                }
+                Err(message) => return AttemptOutcome::Failed(context(index, &message)),
             }
         }
-        AttemptOutcome::Done(Box::new(agg))
+        AttemptOutcome::Done(agg)
     }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let index = current.get();
-            AttemptOutcome::Panicked(format!(
-                "session {index} (seed 0x{seed:016x}): {msg} | replay: rerun session \
-                 {index} alone — its seed is stream_seed({root}, {index})",
-                seed = stream_seed(plan.root_seed, index as u64),
-                msg = mee_sweep::panic_message(payload.as_ref()),
-                root = plan.root_seed,
-            ))
-        }
-    }
+    result.unwrap_or_else(|payload| {
+        let message = mee_sweep::panic_message(payload.as_ref());
+        AttemptOutcome::Panicked(context(current.get(), &message))
+    })
 }
 
-/// Worker loop: pop the first *due* attempt, run it, report back. Exits
-/// when the shutdown flag is raised.
-fn worker<F>(
-    campaign: &Campaign,
-    body: &F,
-    queue: &Mutex<VecDeque<QueuedAttempt>>,
-    shutdown: &AtomicBool,
-    tx: &Sender<Msg>,
-) where
-    F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
-{
-    while !shutdown.load(Ordering::Relaxed) {
-        let job = {
-            let mut q = queue.lock().expect("campaign queue poisoned");
-            let now = Instant::now();
-            q.iter()
-                .position(|j| j.not_before <= now)
-                .and_then(|pos| q.remove(pos))
-        };
-        let Some(job) = job else {
-            std::thread::sleep(Duration::from_micros(500));
-            continue;
-        };
-        let _ = tx.send(Msg::Started { shard: job.shard, attempt: job.attempt });
-        let ctx = ShardCtx::new(job.shard, job.attempt, job.cancel);
-        let start = Instant::now();
-        let outcome = run_attempt(campaign, &ctx, body);
-        let _ = tx.send(Msg::Finished {
-            shard: job.shard,
-            attempt: job.attempt,
-            outcome,
-            elapsed: start.elapsed(),
-        });
-    }
+/// How a shard resolved on its worker.
+enum Resolution {
+    Completed(ShardAggregate),
+    Quarantined(QuarantinedShard),
+    /// The campaign stopped (crash injection or a checkpoint error) before
+    /// the shard resolved.
+    Skipped,
+    /// The shard's checkpoint could not be written.
+    Error(CampaignError),
 }
 
-/// Everything the coordinator mutates while shards resolve. Extracted so
-/// the retry-or-quarantine decision is one function shared by the fault
-/// and timeout paths.
-struct Coordinator<'c> {
-    campaign: &'c Campaign,
-    queue: &'c Mutex<VecDeque<QueuedAttempt>>,
-    live: Vec<Option<LiveAttempt>>,
-    results: Vec<Option<ShardAggregate>>,
-    quarantined: Vec<QuarantinedShard>,
-    log: CampaignLog,
+/// Everything one shard reports back to the calling thread, which merges
+/// these in shard order.
+struct ShardRun {
+    events: Vec<ShardEvent>,
     host: HostProfile,
-    unresolved: usize,
-    fresh_checkpoints: usize,
+    resolution: Resolution,
 }
 
-impl Coordinator<'_> {
-    fn enqueue(&mut self, shard: usize, attempt: u32, not_before: Instant) {
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.live[shard] =
-            Some(LiveAttempt { attempt, cancel: cancel.clone(), deadline: None });
-        self.queue
+/// What the shard workers share: the campaign, its checkpoint identity,
+/// the stop flag, and the fresh-checkpoint counter that every checkpoint
+/// write holds.
+struct Shared<'c> {
+    campaign: &'c Campaign,
+    identity: CampaignIdentity,
+    /// Raised by crash injection or a checkpoint error. `Relaxed` is
+    /// enough: the flag publishes no other data, and the read that must
+    /// not miss it (before a checkpoint write) holds the counter's mutex,
+    /// as does every store.
+    stop: Arc<AtomicBool>,
+    fresh_checkpoints: Mutex<usize>,
+}
+
+impl Shared<'_> {
+    /// Resolves one shard on the calling worker: attempts with retry
+    /// backoff until it completes, is quarantined, or the campaign stops.
+    fn run_shard<F>(&self, shard: usize, body: &F) -> ShardRun
+    where
+        F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
+    {
+        let plan = self.campaign.plan();
+        let mut run = ShardRun {
+            events: Vec::new(),
+            host: HostProfile::new(),
+            resolution: Resolution::Skipped,
+        };
+        for attempt in 0..=plan.retries {
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            run.events.push(ShardEvent::Started { attempt });
+            let start = Instant::now();
+            let deadline = plan.watchdog.map(|t| start + t);
+            let ctx = ShardCtx::new(shard, attempt, self.stop.clone(), deadline);
+            let outcome = run_attempt(self.campaign, &ctx, body);
+            run.host.record(SHARD_SPAN, start.elapsed());
+            let reason = match outcome {
+                // Late results are stale whatever they hold.
+                _ if deadline.is_some_and(|d| Instant::now() >= d) => {
+                    run.events.push(ShardEvent::TimedOut { attempt });
+                    QuarantineReason::Hung
+                }
+                AttemptOutcome::Cancelled => break,
+                AttemptOutcome::Done(agg) => {
+                    run.events.push(ShardEvent::Completed {
+                        attempt,
+                        sessions: agg.sessions(),
+                    });
+                    run.resolution = match &plan.dir {
+                        None => Resolution::Completed(agg),
+                        Some(dir) => self.checkpoint(dir, agg, &mut run),
+                    };
+                    break;
+                }
+                AttemptOutcome::Panicked(message) => {
+                    run.events.push(ShardEvent::Panicked {
+                        attempt,
+                        message: message.clone(),
+                    });
+                    QuarantineReason::Panicked(message)
+                }
+                AttemptOutcome::Failed(message) => {
+                    run.events.push(ShardEvent::Failed {
+                        attempt,
+                        message: message.clone(),
+                    });
+                    QuarantineReason::Failed(message)
+                }
+            };
+            if attempt < plan.retries {
+                // Deterministic backoff before retry `next`: backoff · 2^(next−1).
+                let next = attempt + 1;
+                let backoff = plan
+                    .backoff
+                    .saturating_mul(1u32.checked_shl(next - 1).unwrap_or(u32::MAX));
+                run.events.push(ShardEvent::Requeued {
+                    attempt: next,
+                    backoff_ms: backoff.as_millis() as u64,
+                });
+                std::thread::sleep(backoff);
+            } else {
+                run.events.push(ShardEvent::Quarantined {
+                    attempts: attempt + 1,
+                    reason: reason.to_string(),
+                });
+                let range = plan.shard_range(shard);
+                run.resolution = Resolution::Quarantined(QuarantinedShard {
+                    shard,
+                    lo: range.start,
+                    hi: range.end,
+                    attempts: attempt + 1,
+                    reason,
+                });
+            }
+        }
+        run
+    }
+
+    /// Writes a completed shard's checkpoint under the fresh-checkpoint
+    /// counter, so no write lands once the campaign has stopped: crash
+    /// injection leaves exactly `abort_after` fresh files, and the first
+    /// checkpoint error is the last write.
+    fn checkpoint(&self, dir: &Path, agg: ShardAggregate, run: &mut ShardRun) -> Resolution {
+        let mut fresh = self
+            .fresh_checkpoints
             .lock()
-            .expect("campaign queue poisoned")
-            .push_back(QueuedAttempt { shard, attempt, not_before, cancel });
-    }
-
-    /// The deterministic backoff before retry attempt `next` (1-based):
-    /// `backoff · 2^(next−1)`, saturating.
-    fn backoff_for(&self, next: u32) -> Duration {
-        let base = self.campaign.plan().backoff;
-        base.saturating_mul(1u32.checked_shl(next - 1).unwrap_or(u32::MAX))
-    }
-
-    /// A faulted attempt either requeues (budget remaining) or quarantines
-    /// the shard. `reason` is only built when the budget is exhausted.
-    fn retry_or_quarantine(
-        &mut self,
-        shard: usize,
-        attempt: u32,
-        reason: impl FnOnce() -> QuarantineReason,
-    ) {
-        let retries = self.campaign.plan().retries;
-        if attempt < retries {
-            let next = attempt + 1;
-            let backoff = self.backoff_for(next);
-            self.log.record(
-                shard,
-                ShardEvent::Requeued { attempt: next, backoff_ms: backoff.as_millis() as u64 },
-            );
-            self.enqueue(shard, next, Instant::now() + backoff);
-        } else {
-            let reason = reason();
-            self.log.record(
-                shard,
-                ShardEvent::Quarantined { attempts: attempt + 1, reason: reason.to_string() },
-            );
-            let range = self.campaign.plan().shard_range(shard);
-            self.quarantined.push(QuarantinedShard {
-                shard,
-                lo: range.start,
-                hi: range.end,
-                attempts: attempt + 1,
-                reason,
-            });
-            self.live[shard] = None;
-            self.unresolved -= 1;
+            .expect("checkpoint counter poisoned");
+        if self.stop.load(Ordering::Relaxed) {
+            return Resolution::Skipped;
         }
-    }
-
-    /// Handles one worker message. `Ok(true)` means the injected crash
-    /// fired and the campaign must abort.
-    fn handle(&mut self, msg: Msg) -> Result<bool, CampaignError> {
-        match msg {
-            Msg::Started { shard, attempt } => {
-                // Arm the watchdog only for the attempt we still care
-                // about (a stale Started can arrive after a requeue).
-                if let Some(live) = self.live[shard].as_mut() {
-                    if live.attempt == attempt {
-                        self.log.record(shard, ShardEvent::Started { attempt });
-                        live.deadline = self
-                            .campaign
-                            .plan()
-                            .watchdog
-                            .map(|t| Instant::now() + t);
-                    }
-                }
-                Ok(false)
-            }
-            Msg::Finished { shard, attempt, outcome, elapsed } => {
-                self.host.record(SHARD_SPAN, elapsed);
-                let is_current =
-                    self.live[shard].as_ref().is_some_and(|l| l.attempt == attempt);
-                if !is_current {
-                    return Ok(false); // stale (timed out or superseded): discard
-                }
-                match outcome {
-                    AttemptOutcome::Done(agg) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Completed { attempt, sessions: agg.sessions() },
-                        );
-                        if let Some(dir) = self.campaign.plan().dir.clone() {
-                            self.checkpoint(&dir, &agg)?;
-                        }
-                        self.results[shard] = Some(*agg);
-                        self.live[shard] = None;
-                        self.unresolved -= 1;
-                        if self.campaign.plan().abort_after
-                            == Some(self.fresh_checkpoints)
-                        {
-                            return Ok(true);
-                        }
-                    }
-                    AttemptOutcome::Panicked(message) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Panicked { attempt, message: message.clone() },
-                        );
-                        self.retry_or_quarantine(shard, attempt, || {
-                            QuarantineReason::Panicked(message)
-                        });
-                    }
-                    AttemptOutcome::Failed(message) => {
-                        self.log.record(
-                            shard,
-                            ShardEvent::Failed { attempt, message: message.clone() },
-                        );
-                        self.retry_or_quarantine(shard, attempt, || {
-                            QuarantineReason::Failed(message)
-                        });
-                    }
-                    // A Cancelled outcome for the *current* attempt cannot
-                    // arise from the watchdog (cancelling requeues first),
-                    // only from shutdown — by which point the loop has
-                    // exited. Discard defensively.
-                    AttemptOutcome::Cancelled => {}
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    fn checkpoint(&mut self, dir: &Path, agg: &ShardAggregate) -> Result<(), CampaignError> {
-        let identity = self.campaign.identity();
         let start = Instant::now();
-        checkpoint::write(dir, &identity, agg)?;
-        self.host.record(CHECKPOINT_WRITE_SPAN, start.elapsed());
-        self.log.record(agg.shard, ShardEvent::Checkpointed);
-        self.fresh_checkpoints += 1;
-        Ok(())
-    }
-
-    /// Cancels every live attempt whose watchdog deadline has passed and
-    /// requeues or quarantines its shard.
-    fn scan_watchdog(&mut self) {
-        let now = Instant::now();
-        let expired: Vec<(usize, u32)> = self
-            .live
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, live)| {
-                let live = live.as_ref()?;
-                let deadline = live.deadline?;
-                (deadline <= now).then(|| {
-                    live.cancel.store(true, Ordering::Relaxed);
-                    (shard, live.attempt)
-                })
-            })
-            .collect();
-        for (shard, attempt) in expired {
-            self.log.record(shard, ShardEvent::TimedOut { attempt });
-            self.retry_or_quarantine(shard, attempt, || QuarantineReason::Hung);
+        if let Err(e) = checkpoint::write(dir, &self.identity, &agg) {
+            self.stop.store(true, Ordering::Relaxed);
+            return Resolution::Error(e.into());
         }
+        run.host.record(CHECKPOINT_WRITE_SPAN, start.elapsed());
+        run.events.push(ShardEvent::Checkpointed);
+        *fresh += 1;
+        if self.campaign.plan().abort_after == Some(*fresh) {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        Resolution::Completed(agg)
     }
 }
 
@@ -343,7 +242,9 @@ where
     F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
 {
     let plan = campaign.plan();
-    let threads = plan.resolved_threads().map_err(CampaignError::Threads)?.max(1);
+    let sweep = Sweep::from_env()
+        .map_err(CampaignError::Threads)?
+        .threads(plan.threads);
     let identity = campaign.identity();
     let mut log = CampaignLog::new();
     let mut host = HostProfile::new();
@@ -358,15 +259,17 @@ where
         })?;
         let found = existing_checkpoints(dir, plan.shards);
         if found > 0 && !plan.resume {
-            return Err(CampaignError::DirNotEmpty { dir: dir.clone(), found });
+            return Err(CampaignError::DirNotEmpty {
+                dir: dir.clone(),
+                found,
+            });
         }
         if plan.resume {
             for (shard, slot) in results.iter_mut().enumerate() {
                 let start = Instant::now();
                 // A corrupt or mismatched checkpoint is a loud error here —
                 // never a silent recompute.
-                let loaded =
-                    checkpoint::load(dir, &identity, shard, plan.shard_range(shard))?;
+                let loaded = checkpoint::load(dir, &identity, shard, plan.shard_range(shard))?;
                 host.record(CHECKPOINT_LOAD_SPAN, start.elapsed());
                 if let Some(agg) = loaded {
                     log.record(shard, ShardEvent::Resumed);
@@ -377,63 +280,46 @@ where
         }
     }
 
+    // ---- Execute the missing shards, one sweep item each. ----
     let pending: Vec<usize> = (0..plan.shards).filter(|&s| results[s].is_none()).collect();
-
-    // ---- Execute the missing shards. ----
-    let queue = Mutex::new(VecDeque::new());
-    let mut coord = Coordinator {
+    let shared = Shared {
         campaign,
-        queue: &queue,
-        live: (0..plan.shards).map(|_| None).collect(),
-        results,
-        quarantined: Vec::new(),
-        log,
-        host,
-        unresolved: pending.len(),
-        fresh_checkpoints: 0,
+        identity,
+        stop: Arc::new(AtomicBool::new(false)),
+        fresh_checkpoints: Mutex::new(0),
     };
-    let mut aborted = false;
-    if !pending.is_empty() {
-        for &shard in &pending {
-            coord.enqueue(shard, 0, Instant::now());
+    let runs = sweep.run(&pending, |_, &shard| shared.run_shard(shard, body));
+
+    // ---- Merge in ascending shard order ⇒ deterministic log and fold. ----
+    let mut quarantined = Vec::new();
+    let mut error = None;
+    for (&shard, run) in pending.iter().zip(runs) {
+        for event in run.events {
+            log.record(shard, event);
         }
-        let shutdown = AtomicBool::new(false);
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = std::sync::mpsc::channel();
-        let run_result: Result<bool, CampaignError> = std::thread::scope(|scope| {
-            for _ in 0..threads.min(pending.len()) {
-                let tx = tx.clone();
-                let queue = coord.queue;
-                let shutdown = &shutdown;
-                scope.spawn(move || worker(campaign, body, queue, shutdown, &tx));
+        host.merge(&run.host);
+        match run.resolution {
+            Resolution::Completed(agg) => results[shard] = Some(agg),
+            Resolution::Quarantined(q) => quarantined.push(q),
+            Resolution::Skipped => {}
+            Resolution::Error(e) => {
+                error.get_or_insert(e);
             }
-            drop(tx);
-            let outcome = coordinate(&mut coord, &rx);
-            // Stop the workers and release any cooperative hangs before
-            // the scope joins.
-            shutdown.store(true, Ordering::Relaxed);
-            for live in coord.live.iter().flatten() {
-                live.cancel.store(true, Ordering::Relaxed);
-            }
-            coord.queue.lock().expect("campaign queue poisoned").clear();
-            outcome
-        });
-        aborted = run_result?;
-    }
-
-    if aborted {
-        return Err(CampaignError::Aborted { checkpointed: coord.fresh_checkpoints });
-    }
-
-    // ---- Assemble: fixed ascending shard order ⇒ deterministic merge. ----
-    let mut completed: Vec<usize> = Vec::new();
-    let mut shard_aggs: Vec<ShardAggregate> = Vec::new();
-    for (shard, slot) in coord.results.iter().enumerate() {
-        if let Some(agg) = slot {
-            completed.push(shard);
-            shard_aggs.push(agg.clone());
         }
     }
-    coord.quarantined.sort_by_key(|q| q.shard);
+    if let Some(e) = error {
+        return Err(e);
+    }
+    if shared.stop.load(Ordering::Relaxed) {
+        let checkpointed = shared
+            .fresh_checkpoints
+            .into_inner()
+            .expect("checkpoint counter poisoned");
+        return Err(CampaignError::Aborted { checkpointed });
+    }
+
+    let completed: Vec<usize> = (0..plan.shards).filter(|&s| results[s].is_some()).collect();
+    let shard_aggs: Vec<ShardAggregate> = results.into_iter().flatten().collect();
     let aggregate = CampaignAggregate::merge_shards(campaign.series(), &shard_aggs);
     Ok(CampaignOutcome {
         name: plan.name.clone(),
@@ -441,36 +327,10 @@ where
         aggregate,
         completed,
         resumed,
-        quarantined: coord.quarantined,
-        log: coord.log,
-        host: coord.host,
+        quarantined,
+        log,
+        host,
     })
-}
-
-/// The coordinator loop: drains worker messages, arms the watchdog, and
-/// stops when every pending shard has resolved (completed or quarantined)
-/// or the injected crash fires (`Ok(true)`).
-fn coordinate(
-    coord: &mut Coordinator<'_>,
-    rx: &Receiver<Msg>,
-) -> Result<bool, CampaignError> {
-    while coord.unresolved > 0 {
-        match rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(msg) => {
-                if coord.handle(msg)? {
-                    return Ok(true);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                unreachable!("workers exited while shards were unresolved")
-            }
-        }
-        if coord.campaign.plan().watchdog.is_some() {
-            coord.scan_watchdog();
-        }
-    }
-    Ok(false)
 }
 
 #[cfg(test)]
@@ -478,10 +338,11 @@ mod tests {
     use super::*;
     use crate::{CampaignPlan, CheckpointError};
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("mee_campaign_run_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("mee_campaign_run_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -515,6 +376,42 @@ mod tests {
         }
         assert_eq!(renders[0], renders[1]);
         assert_eq!(renders[0], renders[2]);
+
+        // With faults the event log, too, is a pure function of the
+        // campaign: shard 1 panics once and is retried, shard 3 always
+        // fails and is quarantined.
+        let mut faulted = Vec::new();
+        for threads in [1, 2, 8] {
+            let c = campaign(
+                CampaignPlan::new("t/threads", 2019, 23, 5)
+                    .threads(threads)
+                    .backoff(Duration::from_millis(1)),
+            );
+            let out = c
+                .run(|spec, ctx| {
+                    if ctx.shard == 1 && ctx.attempt == 0 {
+                        panic!("transient fault");
+                    }
+                    if ctx.shard == 3 {
+                        return Err("always fails".into());
+                    }
+                    clean_body(spec, ctx)
+                })
+                .unwrap();
+            assert_eq!(out.completed, vec![0, 1, 2, 4]);
+            assert_eq!(
+                out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })),
+                3
+            );
+            assert_eq!(
+                out.log
+                    .count(|e| matches!(e, ShardEvent::Quarantined { .. })),
+                1
+            );
+            faulted.push((out.aggregate.render(), out.log.render()));
+        }
+        assert_eq!(faulted[0], faulted[1]);
+        assert_eq!(faulted[0], faulted[2]);
     }
 
     #[test]
@@ -524,20 +421,27 @@ mod tests {
 
         // Uninterrupted reference at 2 threads.
         let c = campaign(
-            CampaignPlan::new("t/resume", 2019, 17, 6).threads(2).dir(&ref_dir),
+            CampaignPlan::new("t/resume", 2019, 17, 6)
+                .threads(2)
+                .dir(&ref_dir),
         );
         let reference = c.run(clean_body).unwrap();
         assert!(reference.is_complete());
 
-        // Same campaign, crash injected after 2 durable checkpoints.
+        // Same campaign, crash injected after 2 durable checkpoints, with
+        // enough workers that several shards finish at once: no writer may
+        // overshoot the injection point.
         let c = campaign(
             CampaignPlan::new("t/resume", 2019, 17, 6)
-                .threads(2)
+                .threads(4)
                 .dir(&kill_dir)
                 .abort_after(2),
         );
         match c.run(clean_body) {
-            Err(CampaignError::Aborted { checkpointed }) => assert_eq!(checkpointed, 2),
+            Err(CampaignError::Aborted { checkpointed }) => {
+                assert_eq!(checkpointed, 2);
+                assert_eq!(existing_checkpoints(&kill_dir, 6), checkpointed);
+            }
             other => panic!("expected injected abort, got {other:?}"),
         }
 
@@ -550,11 +454,12 @@ mod tests {
         );
         let resumed = c.run(clean_body).unwrap();
         assert!(resumed.is_complete());
-        assert_eq!(resumed.resumed.len(), 2, "exactly the checkpointed shards resume");
         assert_eq!(
-            resumed.log.count(|e| matches!(e, ShardEvent::Resumed)),
-            2
+            resumed.resumed.len(),
+            2,
+            "exactly the checkpointed shards resume"
         );
+        assert_eq!(resumed.log.count(|e| matches!(e, ShardEvent::Resumed)), 2);
 
         // Byte-identical aggregate…
         assert_eq!(reference.aggregate.render(), resumed.aggregate.render());
@@ -586,7 +491,10 @@ mod tests {
         assert_eq!(out.completed, vec![0, 1, 3]);
         assert_eq!(out.quarantined.len(), 1);
         let q = &out.quarantined[0];
-        assert_eq!((q.shard, q.lo, q.hi, q.attempts), (2, bad.start, bad.end, 2));
+        assert_eq!(
+            (q.shard, q.lo, q.hi, q.attempts),
+            (2, bad.start, bad.end, 2)
+        );
         match &q.reason {
             QuarantineReason::Panicked(msg) => {
                 assert!(msg.contains("synthetic fault"), "{msg}");
@@ -595,7 +503,10 @@ mod tests {
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
-        assert_eq!(out.missing_sessions(), (bad.start..bad.end).collect::<Vec<_>>());
+        assert_eq!(
+            out.missing_sessions(),
+            (bad.start..bad.end).collect::<Vec<_>>()
+        );
         assert_eq!(out.aggregate.sessions, (12 - (bad.end - bad.start)) as u64);
         let report = out.quarantine_report();
         assert!(report.contains("quarantined shard 2"), "{report}");
@@ -604,7 +515,11 @@ mod tests {
 
     #[test]
     fn flaky_panic_recovers_on_retry_with_identical_results() {
-        let c = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2).retries(2));
+        let c = campaign(
+            CampaignPlan::new("t/flaky", 2019, 10, 3)
+                .threads(2)
+                .retries(2),
+        );
         let out = c
             .run(|spec, ctx| {
                 if ctx.shard == 1 && ctx.attempt == 0 {
@@ -614,8 +529,14 @@ mod tests {
             })
             .unwrap();
         assert!(out.is_complete());
-        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Panicked { .. })), 1);
-        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })), 1);
+        assert_eq!(
+            out.log.count(|e| matches!(e, ShardEvent::Panicked { .. })),
+            1
+        );
+        assert_eq!(
+            out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })),
+            1
+        );
 
         // The retried campaign aggregate matches a fault-free run exactly.
         let clean = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2))
@@ -674,6 +595,42 @@ mod tests {
         assert_eq!(out.quarantined[0].reason, QuarantineReason::Hung);
         assert!(out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })) >= 1);
         assert_eq!(out.completed, vec![0, 2]);
+    }
+
+    #[test]
+    fn late_result_past_the_watchdog_is_discarded_as_hung() {
+        let c = campaign(
+            CampaignPlan::new("t/late", 3, 2, 2)
+                .threads(2)
+                .retries(0)
+                .watchdog(Duration::from_millis(20)),
+        );
+        let out = c
+            .run(|spec, ctx| {
+                if ctx.shard == 1 {
+                    // Ignores the cancel flag and returns Ok long after
+                    // the deadline.
+                    std::thread::sleep(Duration::from_millis(120));
+                }
+                clean_body(spec, ctx)
+            })
+            .unwrap();
+        assert_eq!(out.completed, vec![0]);
+        assert_eq!(out.aggregate.sessions, 1);
+        assert_eq!(out.quarantined.len(), 1);
+        assert_eq!(out.quarantined[0].shard, 1);
+        assert_eq!(out.quarantined[0].reason, QuarantineReason::Hung);
+        assert_eq!(
+            out.log.shard(1),
+            [
+                ShardEvent::Started { attempt: 0 },
+                ShardEvent::TimedOut { attempt: 0 },
+                ShardEvent::Quarantined {
+                    attempts: 1,
+                    reason: QuarantineReason::Hung.to_string()
+                },
+            ]
+        );
     }
 
     #[test]
@@ -742,10 +699,7 @@ mod tests {
         let out = c.run(clean_body).unwrap();
         assert_eq!(out.host.span(SHARD_SPAN).unwrap().count, 4);
         assert_eq!(out.host.span(CHECKPOINT_WRITE_SPAN).unwrap().count, 4);
-        assert_eq!(
-            out.log.count(|e| matches!(e, ShardEvent::Checkpointed)),
-            4
-        );
+        assert_eq!(out.log.count(|e| matches!(e, ShardEvent::Checkpointed)), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -56,12 +56,13 @@ pub enum ShardEvent {
         /// The attempt that was abandoned.
         attempt: u32,
     },
-    /// The shard was put back on the queue for another attempt.
+    /// The shard will be attempted again: the worker that owns it sleeps
+    /// out the backoff and then retries on the same thread.
     Requeued {
         /// The attempt number the shard will retry as.
         attempt: u32,
-        /// The deterministic exponential-backoff delay before the retry
-        /// becomes eligible, in milliseconds.
+        /// The deterministic exponential-backoff delay the worker sleeps
+        /// before the retry, in milliseconds.
         backoff_ms: u64,
     },
     /// The retry budget is exhausted; the shard is excluded from the
@@ -102,7 +103,8 @@ impl fmt::Display for ShardEvent {
 
 /// The per-shard event log of one campaign run.
 ///
-/// Events are appended by the (single-threaded) campaign coordinator, so
+/// Each shard's events are collected on the worker that owns the shard and
+/// appended by the calling thread once every shard has resolved, so
 /// within a shard the order is exactly occurrence order; across shards the
 /// log imposes shard-index order, which makes [`CampaignLog::render`]
 /// deterministic for deterministic shard bodies regardless of worker

@@ -19,6 +19,9 @@
 //!   order** — the output of [`Sweep::run`] is bit-identical for 1 thread
 //!   or 64.
 //!
+//! This is the workspace's one worker pool: `mee-campaign` runs each
+//! pending shard of a campaign as one [`Sweep::run`] item.
+//!
 //! The thread count defaults to the host's available parallelism and can
 //! be pinned with the `MEE_SWEEP_THREADS` environment variable (or
 //! [`Sweep::threads`] in code). Determinism never depends on it.
@@ -111,28 +114,37 @@ pub struct SessionSpec {
     pub seed: u64,
 }
 
-/// The panic-context formatter of a seed sweep: names the session, its
-/// split seed, and a one-line replay recipe in the `mee-spec`
-/// counterexample style, so a crashed sweep pinpoints the exact session to
-/// rerun standalone.
-fn seed_sweep_context(root: u64, n: usize) -> impl Fn(usize, &SessionSpec) -> String {
-    move |i, spec| {
+impl SessionSpec {
+    /// Session `index` of the seed space rooted at `root`: its seed is
+    /// `stream_seed(root, index)`.
+    pub fn new(root: u64, index: usize) -> Self {
+        SessionSpec {
+            index,
+            seed: stream_seed(root, index as u64),
+        }
+    }
+
+    /// The one-line failure context of this session in the `mee-spec`
+    /// counterexample style: the session, its split seed, `what` went
+    /// wrong, and the replay recipe —
+    /// `session i[ of n] (seed 0x…): what | replay: rerun session i alone —
+    /// its seed is stream_seed(root, i)`. `of` names the sweep size when
+    /// there is one. Sweeps and campaigns both report through it, so every
+    /// crashed session reads the same.
+    pub fn replay_context(&self, root: u64, of: Option<usize>, what: &str) -> String {
+        let i = self.index;
+        let of = of.map_or_else(String::new, |n| format!(" of {n}"));
         format!(
-            "sweep session {i} of {n} (seed 0x{seed:016x}) panicked | replay: rerun session \
-             {i} alone — its seed is stream_seed({root}, {i})",
-            seed = spec.seed
+            "session {i}{of} (seed 0x{seed:016x}): {what} | replay: rerun session {i} alone — \
+             its seed is stream_seed({root}, {i})",
+            seed = self.seed
         )
     }
 }
 
 /// Derives the per-session specs of an `n`-session sweep rooted at `root`.
 pub fn session_seeds(root: u64, n: usize) -> Vec<SessionSpec> {
-    (0..n)
-        .map(|index| SessionSpec {
-            index,
-            seed: stream_seed(root, index as u64),
-        })
-        .collect()
+    (0..n).map(|index| SessionSpec::new(root, index)).collect()
 }
 
 /// A parallel sweep runner: how many worker threads drain the session
@@ -321,7 +333,11 @@ impl Sweep {
         F: Fn(SessionSpec) -> T + Sync,
     {
         let specs = session_seeds(root, n);
-        self.run_core(&specs, |_, &spec| f(spec), seed_sweep_context(root, n))
+        self.run_core(
+            &specs,
+            |_, &spec| f(spec),
+            |_, spec| format!("sweep {}", spec.replay_context(root, Some(n), "panicked")),
+        )
     }
 
     /// Like [`Sweep::seed_sweep`] for fallible sessions: returns the first
