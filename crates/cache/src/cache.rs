@@ -28,13 +28,17 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Most ways a set may have: [`SetAssocCache`] tracks a set's valid
+    /// ways in one `u64`.
+    pub const MAX_WAYS: usize = 64;
+
     /// Builds a config from total capacity.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidConfig`] if the capacity is not evenly
-    /// divisible into power-of-two sets of `ways` lines, or any parameter
-    /// is zero.
+    /// divisible into power-of-two sets of `ways` lines, `ways` exceeds
+    /// [`Self::MAX_WAYS`], or any parameter is zero.
     pub fn from_capacity(
         capacity_bytes: usize,
         ways: usize,
@@ -43,6 +47,12 @@ impl CacheConfig {
         let fail = |reason: String| Err(ModelError::InvalidConfig { reason });
         if ways == 0 || line_size == 0 || capacity_bytes == 0 {
             return fail("cache parameters must be non-zero".into());
+        }
+        if ways > Self::MAX_WAYS {
+            return fail(format!(
+                "{ways} ways exceed the maximum of {}",
+                Self::MAX_WAYS
+            ));
         }
         if !line_size.is_power_of_two() {
             return fail(format!("line size {line_size} is not a power of two"));
@@ -91,17 +101,18 @@ pub struct AccessResult {
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// `tags[set * cfg.ways + way]`: the resident line encoded as
-    /// `raw + 1`, or [`EMPTY`] (`0`) for an empty way. A flat array of
-    /// plain words keeps the way scan — the single hottest loop in the
-    /// simulator — branchless and vectorizable, and a fresh cache is one
-    /// zeroed allocation.
+    /// `raw + 1`, or [`EMPTY`] (`0`) for an empty way. A fresh cache is
+    /// one zeroed allocation.
     tags: Vec<u64>,
+    /// `valid[set]`: bit `w` is set iff way `w` of `set` holds a line. The
+    /// attack's read-then-`clflush` pairs keep nearly every set empty, so
+    /// lookups compare tags only at the valid ways, and a lookup in an
+    /// empty set is one load.
+    valid: Vec<u64>,
     policy: Policy,
     stats: CacheStats,
     /// Resident-line count, so empty-cache invalidation sweeps are O(1).
     resident: usize,
-    /// Scratch "allowed ways" mask reused across calls.
-    allowed: Vec<bool>,
     /// `sets - 1` when the set count is a power of two (the standard
     /// geometry), so [`Self::set_of`] is an AND instead of a hardware
     /// divide — it runs several times per simulated memory op. `None`
@@ -140,16 +151,25 @@ impl SetAssocCache {
     ///
     /// Accepts a concrete policy by value or a [`Policy`]; either way the
     /// cache dispatches statically through the enum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ways` exceeds [`CacheConfig::MAX_WAYS`] (the
+    /// per-set valid mask is one word), or if the policy cannot hold the
+    /// geometry (tree-PLRU needs a power-of-two way count).
     pub fn new(cfg: CacheConfig, policy: impl Into<Policy>) -> Self {
+        assert!(
+            cfg.ways <= CacheConfig::MAX_WAYS,
+            "{} ways exceed the valid mask's {}",
+            cfg.ways,
+            CacheConfig::MAX_WAYS
+        );
         let mut policy = policy.into();
         policy.attach(cfg.sets, cfg.ways);
         SetAssocCache {
             tags: vec![EMPTY; cfg.sets * cfg.ways],
-            allowed: vec![true; cfg.ways],
-            set_mask: cfg
-                .sets
-                .is_power_of_two()
-                .then(|| cfg.sets as u64 - 1),
+            valid: vec![0; cfg.sets],
+            set_mask: cfg.sets.is_power_of_two().then(|| cfg.sets as u64 - 1),
             cfg,
             policy,
             stats: CacheStats::new(),
@@ -175,57 +195,26 @@ impl SetAssocCache {
     /// victim chosen by the replacement policy.
     ///
     /// Equivalent to [`Self::access_in_ways`] with an all-`true` mask, but
-    /// allocation-free: this is the path every simulated memory op takes.
+    /// without the mask checks: this is the path every simulated memory op
+    /// takes.
     pub fn access(&mut self, line: LineAddr) -> AccessResult {
         let set = self.set_of(line);
-        let base = set * self.cfg.ways;
-        let tag = encode(line);
-        let ways = &self.tags[base..base + self.cfg.ways];
-
-        // One pass finds the hit way and, failing that, the first empty
-        // way — the separate empty scan would re-walk the same tags.
-        let mut empty = None;
-        let mut hit = None;
-        for (w, &t) in ways.iter().enumerate() {
-            if t == tag {
-                hit = Some(w);
-                break;
-            }
-            if t == EMPTY && empty.is_none() {
-                empty = Some(w);
-            }
+        if let Some(way) = self.find_way(set, line) {
+            return self.hit(set, way);
         }
-        if let Some(way) = hit {
-            self.policy.on_hit(set, way);
-            self.stats.hits += 1;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                set,
-            };
-        }
-
         self.stats.misses += 1;
-        let (way, evicted) = match empty {
-            Some(w) => {
-                self.resident += 1;
-                (w, None)
-            }
-            None => {
-                // No empty way means every way is occupied, so the victim
-                // mask is all-true — take the policy's mask-free path.
-                let w = self.policy.victim_all(set, self.cfg.ways);
-                self.stats.evictions += 1;
-                (w, Some(decode(self.tags[base + w])))
-            }
+        let empty = (!self.valid[set]).trailing_zeros() as usize;
+        let (way, evicted) = if empty < self.cfg.ways {
+            self.resident += 1;
+            (empty, None)
+        } else {
+            // No empty way means every way is occupied, so the victim
+            // mask is all-true — take the policy's mask-free path.
+            let w = self.policy.victim_all(set, self.cfg.ways);
+            self.stats.evictions += 1;
+            (w, Some(decode(self.tags[set * self.cfg.ways + w])))
         };
-        self.tags[base + way] = tag;
-        self.policy.on_fill(set, way);
-        AccessResult {
-            hit: false,
-            evicted,
-            set,
-        }
+        self.fill(set, way, line, evicted)
     }
 
     /// Accesses `line`, but restricts fills (and victim selection) to the
@@ -242,54 +231,53 @@ impl SetAssocCache {
         assert_eq!(way_mask.len(), self.cfg.ways, "way mask length mismatch");
         assert!(way_mask.iter().any(|&b| b), "way mask allows no ways");
         let set = self.set_of(line);
-        let base = set * self.cfg.ways;
-        let tag = encode(line);
-
-        // Hit path.
         if let Some(way) = self.find_way(set, line) {
-            self.policy.on_hit(set, way);
-            self.stats.hits += 1;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                set,
-            };
+            return self.hit(set, way);
         }
 
         // Miss path: prefer an empty allowed way.
         self.stats.misses += 1;
-        let empty =
-            (0..self.cfg.ways).find(|&w| way_mask[w] && self.tags[base + w] == EMPTY);
+        let valid = self.valid[set];
+        let empty = (0..self.cfg.ways).find(|&w| way_mask[w] && valid >> w & 1 == 0);
         let (way, evicted) = match empty {
-            Some(w) => (w, None),
+            Some(w) => {
+                self.resident += 1;
+                (w, None)
+            }
             None => {
-                self.allowed.copy_from_slice(way_mask);
-                // Only occupied ways can be victims; merge with the mask.
-                for w in 0..self.cfg.ways {
-                    self.allowed[w] &= self.tags[base + w] != EMPTY;
-                }
-                if !self.allowed.iter().any(|&b| b) {
-                    // All allowed ways are empty? Impossible here (handled
-                    // above), but all *occupied* ways may be disallowed:
-                    // evict within the mask regardless.
-                    self.allowed.copy_from_slice(way_mask);
-                }
-                let allowed = std::mem::take(&mut self.allowed);
-                let w = self.policy.victim(set, &allowed);
-                self.allowed = allowed;
-                let old = self.tags[base + w];
-                self.tags[base + w] = EMPTY;
-                if old != EMPTY {
-                    self.stats.evictions += 1;
-                    self.resident -= 1;
-                }
-                (w, (old != EMPTY).then(|| decode(old)))
+                // Every allowed way is occupied, so the mask already
+                // names exactly the occupied candidates.
+                let w = self.policy.victim(set, way_mask);
+                self.stats.evictions += 1;
+                (w, Some(decode(self.tags[set * self.cfg.ways + w])))
             }
         };
-        if self.tags[base + way] == EMPTY {
-            self.resident += 1;
+        self.fill(set, way, line, evicted)
+    }
+
+    /// Records a hit on `way` of `set`.
+    #[inline]
+    fn hit(&mut self, set: usize, way: usize) -> AccessResult {
+        self.policy.on_hit(set, way);
+        self.stats.hits += 1;
+        AccessResult {
+            hit: true,
+            evicted: None,
+            set,
         }
-        self.tags[base + way] = tag;
+    }
+
+    /// Writes `line` into `way` of `set` (already counted as a miss).
+    #[inline]
+    fn fill(
+        &mut self,
+        set: usize,
+        way: usize,
+        line: LineAddr,
+        evicted: Option<LineAddr>,
+    ) -> AccessResult {
+        self.tags[set * self.cfg.ways + way] = encode(line);
+        self.valid[set] |= 1 << way;
         self.policy.on_fill(set, way);
         AccessResult {
             hit: false,
@@ -298,87 +286,14 @@ impl SetAssocCache {
         }
     }
 
-    /// [`Self::access`] followed immediately by [`Self::invalidate`] of the
-    /// same line — the per-level step of an establishment read-then-`clflush`
-    /// sweep, fused so one set lookup and one way scan replace the two of
-    /// each. The observable outcome is identical to the split calls: both
-    /// policy transitions (`on_hit`/`on_fill`, then `on_invalidate`) fire,
-    /// every statistics counter advances the same way, and the filled way
-    /// ends empty — the fill's tag write is simply never materialized. The
-    /// seeded property test `fused_access_invalidate_matches_split` holds
-    /// the two paths together under random interleavings for every policy.
-    ///
-    /// **The equivalence is local to this cache, with the two halves
-    /// adjacent.** Composing the fusion across a multi-level hierarchy
-    /// moves this cache's `on_invalidate` ahead of whatever the split
-    /// sequence interleaves between the halves — e.g. an inclusive outer
-    /// level's victim back-invalidation into the same set — and per-set
-    /// replacement-policy updates do not commute in general. That is why
-    /// `mee-machine`'s sweep pair issues the split calls in split order
-    /// rather than fusing per level.
-    ///
-    /// Returns the access's [`AccessResult`]; the line is no longer
-    /// resident on return.
-    #[must_use = "an evicted victim must be back-invalidated by inclusive outer levels"]
-    pub fn access_then_invalidate(&mut self, line: LineAddr) -> AccessResult {
-        let set = self.set_of(line);
-        let base = set * self.cfg.ways;
-        let tag = encode(line);
-        let ways = &self.tags[base..base + self.cfg.ways];
-
-        // Same fused single-pass scan as [`Self::access`].
-        let mut empty = None;
-        let mut hit = None;
-        for (w, &t) in ways.iter().enumerate() {
-            if t == tag {
-                hit = Some(w);
-                break;
-            }
-            if t == EMPTY && empty.is_none() {
-                empty = Some(w);
-            }
-        }
-        if let Some(way) = hit {
-            // Hit, then invalidate finds the same way.
-            self.policy.on_hit(set, way);
-            self.stats.hits += 1;
-            self.tags[base + way] = EMPTY;
-            self.resident -= 1;
-            self.policy.on_invalidate(set, way);
-            self.stats.invalidations += 1;
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                set,
-            };
-        }
-
-        self.stats.misses += 1;
-        let (way, evicted) = match empty {
-            // Fill into an empty way then invalidate it: the tag write and
-            // the resident `+1`/`-1` cancel exactly.
-            Some(w) => (w, None),
-            None => {
-                let w = self.policy.victim_all(set, self.cfg.ways);
-                self.stats.evictions += 1;
-                let victim = decode(self.tags[base + w]);
-                // The fill replaces the victim (resident unchanged) and the
-                // invalidate then empties the way (resident -1).
-                self.tags[base + w] = EMPTY;
-                self.resident -= 1;
-                (w, Some(victim))
-            }
-        };
-        // The tags cancel but the policy sees both transitions — their
-        // composition is policy-specific state, not a no-op.
-        self.policy.on_fill(set, way);
+    /// Empties the occupied `way` of `set`.
+    #[inline]
+    fn drop_way(&mut self, set: usize, way: usize) {
+        self.tags[set * self.cfg.ways + way] = EMPTY;
+        self.valid[set] &= !(1 << way);
+        self.resident -= 1;
         self.policy.on_invalidate(set, way);
         self.stats.invalidations += 1;
-        AccessResult {
-            hit: false,
-            evicted,
-            set,
-        }
     }
 
     /// Non-destructive residence check (no policy or stats update).
@@ -390,48 +305,41 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         if self.resident == 0 {
             // Nothing cached (idle cores' private caches during a clflush
-            // broadcast): skip the way scan entirely.
+            // broadcast): skip even the set lookup.
             return false;
         }
         let set = self.set_of(line);
-        if let Some(way) = self.find_way(set, line) {
-            self.tags[set * self.cfg.ways + way] = EMPTY;
-            self.resident -= 1;
-            self.policy.on_invalidate(set, way);
-            self.stats.invalidations += 1;
-            true
-        } else {
-            false
+        let way = self.find_way(set, line);
+        if let Some(way) = way {
+            self.drop_way(set, way);
         }
+        way.is_some()
     }
 
     /// Empties the whole cache, keeping statistics.
     pub fn invalidate_all(&mut self) {
         self.tags.fill(EMPTY);
+        self.valid.fill(0);
         self.resident = 0;
         // Re-attach to reset policy metadata.
         self.policy.attach(self.cfg.sets, self.cfg.ways);
     }
 
     /// Invalidates every resident line of one set (a co-runner thrashing
-    /// exactly that set); returns how many lines were dropped.
+    /// exactly that set), in ascending way order; returns how many lines
+    /// were dropped.
     ///
     /// # Panics
     ///
     /// Panics if `set >= sets`.
     pub fn invalidate_set(&mut self, set: usize) -> usize {
         assert!(set < self.cfg.sets, "set {set} out of range");
-        let base = set * self.cfg.ways;
-        let mut dropped = 0;
-        for way in 0..self.cfg.ways {
-            if self.tags[base + way] != EMPTY {
-                self.tags[base + way] = EMPTY;
-                self.policy.on_invalidate(set, way);
-                self.stats.invalidations += 1;
-                dropped += 1;
-            }
+        let mut valid = self.valid[set];
+        let dropped = valid.count_ones() as usize;
+        while valid != 0 {
+            self.drop_way(set, valid.trailing_zeros() as usize);
+            valid &= valid - 1;
         }
-        self.resident -= dropped;
         dropped
     }
 
@@ -451,7 +359,6 @@ impl SetAssocCache {
             return 0;
         }
         let sets = self.cfg.sets;
-        let ways = self.cfg.ways;
         let first_set = self.set_of(first);
         if (count as usize) <= sets && first_set + count as usize <= sets {
             // The run maps to `count` consecutive distinct sets (always
@@ -462,13 +369,8 @@ impl SetAssocCache {
             let mut dropped = 0;
             for i in 0..count as usize {
                 let set = first_set + i;
-                let tag = encode(LineAddr::new(first.raw() + i as u64));
-                let base = set * ways;
-                if let Some(way) = self.tags[base..base + ways].iter().position(|&t| t == tag) {
-                    self.tags[base + way] = EMPTY;
-                    self.resident -= 1;
-                    self.policy.on_invalidate(set, way);
-                    self.stats.invalidations += 1;
+                if let Some(way) = self.find_way(set, LineAddr::new(first.raw() + i as u64)) {
+                    self.drop_way(set, way);
                     dropped += 1;
                     if self.resident == 0 {
                         break;
@@ -498,11 +400,7 @@ impl SetAssocCache {
     /// Panics if `set >= sets`.
     pub fn set_occupancy(&self, set: usize) -> usize {
         assert!(set < self.cfg.sets, "set {set} out of range");
-        let base = set * self.cfg.ways;
-        self.tags[base..base + self.cfg.ways]
-            .iter()
-            .filter(|&&t| t != EMPTY)
-            .count()
+        self.valid[set].count_ones() as usize
     }
 
     /// Iterates over all resident lines.
@@ -523,13 +421,20 @@ impl SetAssocCache {
         self.stats = CacheStats::new();
     }
 
+    /// The way of `set` holding `line`, comparing tags at valid ways only.
     #[inline]
     fn find_way(&self, set: usize, line: LineAddr) -> Option<usize> {
         let base = set * self.cfg.ways;
         let tag = encode(line);
-        self.tags[base..base + self.cfg.ways]
-            .iter()
-            .position(|&t| t == tag)
+        let mut valid = self.valid[set];
+        while valid != 0 {
+            let w = valid.trailing_zeros() as usize;
+            if self.tags[base + w] == tag {
+                return Some(w);
+            }
+            valid &= valid - 1;
+        }
+        None
     }
 }
 
@@ -560,6 +465,9 @@ mod tests {
         assert!(CacheConfig::from_capacity(100, 1, 64).is_err());
         // 3 sets: not a power of two.
         assert!(CacheConfig::from_capacity(3 * 2 * 64, 2, 64).is_err());
+        // More ways than the valid mask holds.
+        assert!(CacheConfig::from_capacity(128 * 64, 128, 64).is_err());
+        assert!(CacheConfig::from_capacity(64 * 64, 64, 64).is_ok());
     }
 
     #[test]
@@ -578,7 +486,7 @@ mod tests {
     #[test]
     fn conflict_eviction_in_lru_order() {
         let mut c = small_lru(); // 2 sets
-        // Lines 0, 2, 4 all map to set 0.
+                                 // Lines 0, 2, 4 all map to set 0.
         let l0 = LineAddr::new(0);
         let l2 = LineAddr::new(2);
         let l4 = LineAddr::new(4);
@@ -680,15 +588,11 @@ mod tests {
         c.access(a); // hit: tree points away from way 0
         c.access(b); // hit: tree points away from way 1 (victim would be way 2)
         assert!(c.invalidate(b)); // frees way 1; tree must now point AT way 1
-        // Way-partitioned fill that may not use the freed way: the policy
-        // falls back from way 1 to the first allowed way (0), evicting A.
+                                  // Way-partitioned fill that may not use the freed way: the policy
+                                  // falls back from way 1 to the first allowed way (0), evicting A.
         let mask = [true, false, true, true];
         let r = c.access_in_ways(LineAddr::new(4), &mask);
-        assert_eq!(
-            r.evicted,
-            Some(a),
-            "stale PLRU bits survived on_invalidate"
-        );
+        assert_eq!(r.evicted, Some(a), "stale PLRU bits survived on_invalidate");
     }
 
     #[test]
@@ -819,25 +723,84 @@ mod tests {
                 // fills has to pick identical victims on both sides.
                 let suffix = vec_of(rng, 1..200, |r| r.random_range(0u64..512));
                 for &a in &suffix {
-                    assert_eq!(bulk.access(LineAddr::new(a)), serial.access(LineAddr::new(a)));
+                    assert_eq!(
+                        bulk.access(LineAddr::new(a)),
+                        serial.access(LineAddr::new(a))
+                    );
                 }
             },
         );
     }
 
-    /// The fused sweep step is observationally identical to split
-    /// `access` + `invalidate` calls under random op streams, for every
-    /// replacement policy: same results, statistics, residents, and — via
-    /// a random access suffix — same replacement state and RNG position.
+    /// The reference tree-PLRU: one `bool` per node, walked root to leaf
+    /// on every update — the layout the policy had before its tree was
+    /// packed into one word per set. Node numbering and bit meaning
+    /// (`true` = go right) match [`TreePlru`].
+    struct RefPlru {
+        bits: Vec<bool>,
+        ways: usize,
+    }
+
+    impl RefPlru {
+        fn new(sets: usize, ways: usize) -> Self {
+            RefPlru {
+                bits: vec![false; sets * (ways - 1)],
+                ways,
+            }
+        }
+
+        /// Sets every node on `way`'s path to `toward ^ right`: away from
+        /// the way on a hit or fill, toward it on an invalidate.
+        fn point(&mut self, set: usize, way: usize, toward: bool) {
+            let base = set * (self.ways - 1);
+            let (mut node, mut lo, mut hi) = (0, 0, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                let right = way >= mid;
+                self.bits[base + node] = right == toward;
+                if right {
+                    node = 2 * node + 2;
+                    lo = mid;
+                } else {
+                    node = 2 * node + 1;
+                    hi = mid;
+                }
+            }
+        }
+
+        fn victim(&self, set: usize) -> usize {
+            let base = set * (self.ways - 1);
+            let (mut node, mut lo, mut hi) = (0, 0, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if self.bits[base + node] {
+                    node = 2 * node + 2;
+                    lo = mid;
+                } else {
+                    node = 2 * node + 1;
+                    hi = mid;
+                }
+            }
+            lo
+        }
+    }
+
+    /// Every tag writer keeps the per-set valid masks exact, and the packed
+    /// tree-PLRU word stays equivalent to the per-node reference tree:
+    /// random mixes of `access`, `access_in_ways`, `invalidate`,
+    /// `invalidate_range`, `invalidate_set` and `invalidate_all`, over
+    /// every policy and 1 to 64 ways, checked after every op.
     #[test]
-    fn fused_access_invalidate_matches_split() {
+    fn valid_masks_and_packed_plru_track_every_tag_writer() {
         use crate::policy::{Fifo, Nru, RandomEviction, Srrip};
         check(
-            "fused_access_invalidate_matches_split",
+            "valid_masks_and_packed_plru_track_every_tag_writer",
             &PropConfig::from_env(64),
             |rng| {
+                const SETS: usize = 4;
                 let policy = rng.random_range(0u64..6);
                 let seed = rng.random_range(0u64..1000);
+                let ways = pick(rng, &[1usize, 2, 4, 8, 16, 64]);
                 let mk = || -> Policy {
                     match policy {
                         0 => TreePlru::new().into(),
@@ -848,41 +811,86 @@ mod tests {
                         _ => RandomEviction::with_seed(seed).into(),
                     }
                 };
-                let ways = pick(rng, &[1usize, 2, 4, 8]);
-                let cfg = CacheConfig::from_capacity(4 * ways * 64, ways, 64).unwrap();
-                let mut fused = SetAssocCache::new(cfg, mk());
-                let mut split = SetAssocCache::new(cfg, mk());
-                // Random mix: plain accesses (warming residents in), fused
-                // steps, and invalidations, over a small line universe so
-                // hits, empty-way fills, and full-set victims all occur.
-                let ops = vec_of(rng, 1..300, |r| {
-                    (r.random_range(0u8..4), r.random_range(0u64..32))
-                });
-                for &(op, a) in &ops {
-                    let line = LineAddr::new(a);
+                let cfg = CacheConfig::from_capacity(SETS * ways * 64, ways, 64).unwrap();
+                let mut c = SetAssocCache::new(cfg, mk());
+                // Present only under tree-PLRU, mirroring its callbacks.
+                let mut reference = (policy == 0).then(|| RefPlru::new(SETS, ways));
+                // Twice the capacity: hits, empty-way fills and full-set
+                // victims all occur.
+                let universe = (2 * SETS * ways) as u64;
+                let ops = vec_of(rng, 1..600, |r| r.random_range(0u8..20));
+                for op in ops {
+                    let line = LineAddr::new(rng.random_range(0..universe));
+                    let set = c.set_of(line);
                     match op {
-                        0 | 1 => {
-                            assert_eq!(fused.access(line), split.access(line));
+                        0..=10 => {
+                            if op <= 7 {
+                                c.access(line);
+                            } else {
+                                let mut mask =
+                                    vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
+                                mask[rng.random_range(0..ways)] = true;
+                                c.access_in_ways(line, &mask);
+                            }
+                            // A hit and a fill touch the tree alike.
+                            let way = c.find_way(set, line).unwrap();
+                            if let Some(r) = reference.as_mut() {
+                                r.point(set, way, false);
+                            }
                         }
-                        2 => {
-                            let f = fused.access_then_invalidate(line);
-                            let s = split.access(line);
-                            assert!(split.invalidate(line));
-                            assert_eq!(f, s);
-                            assert!(!fused.contains(line));
+                        11..=14 => {
+                            let way = c.find_way(set, line);
+                            assert_eq!(c.invalidate(line), way.is_some());
+                            if let (Some(r), Some(way)) = (reference.as_mut(), way) {
+                                r.point(set, way, true);
+                            }
+                        }
+                        15..=16 => {
+                            // Long runs take the aliasing fallback.
+                            let count = rng.random_range(1..=2 * SETS as u64);
+                            let lines: Vec<_> =
+                                (0..count).map(|i| LineAddr::new(line.raw() + i)).collect();
+                            let hits: Vec<_> = lines
+                                .iter()
+                                .filter_map(|&l| Some((c.set_of(l), c.find_way(c.set_of(l), l)?)))
+                                .collect();
+                            assert_eq!(c.invalidate_range(line, count), hits.len());
+                            if let Some(r) = reference.as_mut() {
+                                for &(s, w) in &hits {
+                                    r.point(s, w, true);
+                                }
+                            }
+                        }
+                        17..=18 => {
+                            let valid = c.valid[set];
+                            assert_eq!(c.invalidate_set(set), valid.count_ones() as usize);
+                            if let Some(r) = reference.as_mut() {
+                                for w in (0..ways).filter(|&w| valid >> w & 1 != 0) {
+                                    r.point(set, w, true);
+                                }
+                            }
                         }
                         _ => {
-                            assert_eq!(fused.invalidate(line), split.invalidate(line));
+                            c.invalidate_all();
+                            reference = reference.map(|_| RefPlru::new(SETS, ways));
                         }
                     }
-                    assert_eq!(fused.stats(), split.stats());
-                    assert_eq!(fused.occupancy(), split.occupancy());
+                    let mut total = 0;
+                    for s in 0..SETS {
+                        let tags = &c.tags[s * ways..(s + 1) * ways];
+                        let nonempty = tags
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &t)| t != EMPTY)
+                            .fold(0u64, |m, (w, _)| m | 1 << w);
+                        assert_eq!(c.valid[s], nonempty, "set {s} mask after op {op}");
+                        total += c.set_occupancy(s);
+                        if let Some(r) = reference.as_ref() {
+                            assert_eq!(c.policy.victim_all(s, ways), r.victim(s), "set {s}");
+                        }
+                    }
+                    assert_eq!(total, c.occupancy());
                 }
-                let mut f: Vec<_> = fused.resident_lines().collect();
-                let mut s: Vec<_> = split.resident_lines().collect();
-                f.sort_unstable();
-                s.sort_unstable();
-                assert_eq!(f, s);
             },
         );
     }

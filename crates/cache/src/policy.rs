@@ -34,8 +34,8 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     fn victim(&mut self, set: usize, allowed: &[bool]) -> usize;
 
     /// [`victim`](Self::victim) with every way allowed — the common case on
-    /// the hot path, split out so implementations can skip the `allowed`
-    /// scan (and callers the scratch mask) entirely.
+    /// the hot path, split out so callers build no mask and implementations
+    /// skip the `allowed` scan.
     ///
     /// Must behave exactly like `victim(set, &vec![true; ways])`, including
     /// any RNG draws; the default implementation does literally that.
@@ -118,13 +118,22 @@ impl ReplacementPolicy for TrueLru {
 /// trojan's two-phase eviction sweep: one forward pass does not guarantee
 /// all resident lines are replaced.
 ///
+/// A set's tree is one `u64` (node `n` of the implicit heap-ordered tree,
+/// root `0`, children `2n + 1` / `2n + 2`, is bit `n`; set = "go right"),
+/// and every way's root-to-leaf path is precomputed at attach time, so a
+/// hit, fill or invalidate is a single masked word update.
+///
 /// # Panics
 ///
 /// [`attach`](ReplacementPolicy::attach) panics if `ways` is not a power of
-/// two (the tree requires it).
+/// two (the tree requires it) or exceeds 64 (the tree's word).
 #[derive(Debug, Default)]
 pub struct TreePlru {
-    bits: Vec<bool>,
+    /// One tree per set.
+    bits: Vec<u64>,
+    /// Per way: the nodes on its path, and the values of those nodes that
+    /// point away from it.
+    paths: Vec<(u64, u64)>,
     ways: usize,
 }
 
@@ -134,36 +143,50 @@ impl TreePlru {
         Self::default()
     }
 
-    /// Walks from the root toward `way`, making every node point away.
+    /// Points every node on `way`'s path away from it.
+    #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        let base = set * (self.ways - 1);
-        let mut node = 0usize; // root of the implicit tree
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let right = way >= mid;
-            // Point to the *other* half.
-            self.bits[base + node] = !right;
-            if right {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
+        let (mask, away) = self.paths[way];
+        let b = &mut self.bits[set];
+        *b = (*b & !mask) | away;
+    }
+
+    /// Follows the bits from the root to a leaf. Nodes `0..ways - 1` are
+    /// internal; leaf `ways - 1 + w` is way `w`.
+    #[inline]
+    fn walk(&self, set: usize) -> usize {
+        let b = self.bits[set];
+        let mut node = 0;
+        while node < self.ways - 1 {
+            node = 2 * node + 1 + (b >> node & 1) as usize;
         }
+        node - (self.ways - 1)
     }
 }
 
 impl ReplacementPolicy for TreePlru {
     fn attach(&mut self, sets: usize, ways: usize) {
         assert!(
-            ways.is_power_of_two(),
-            "tree-PLRU requires a power-of-two way count, got {ways}"
+            ways.is_power_of_two() && ways <= 64,
+            "tree-PLRU requires a power-of-two way count of at most 64, got {ways}"
         );
         self.ways = ways;
-        self.bits = vec![false; sets * (ways - 1)];
+        self.bits = vec![0; sets];
+        self.paths = (0..ways)
+            .map(|way| {
+                let (mut mask, mut away) = (0u64, 0u64);
+                // Climb from the way's leaf; a left child (odd node) is
+                // pointed away from by setting its parent's bit.
+                let mut node = ways - 1 + way;
+                while node > 0 {
+                    let parent = (node - 1) / 2;
+                    mask |= 1 << parent;
+                    away |= ((node & 1) as u64) << parent;
+                    node = parent;
+                }
+                (mask, away)
+            })
+            .collect();
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
@@ -175,20 +198,7 @@ impl ReplacementPolicy for TreePlru {
     }
 
     fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
-        let base = set * (self.ways - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[base + node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
+        let lo = self.walk(set);
         if allowed[lo] {
             lo
         } else {
@@ -202,44 +212,17 @@ impl ReplacementPolicy for TreePlru {
 
     fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
         // The bit walk's landing way is always allowed here.
-        let base = set * (self.ways - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[base + node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        lo
+        self.walk(set)
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
-        // Inverse of `touch`: walk from the root *toward* the invalidated
-        // way, so the next victim search lands on it. Leaving the bits
-        // stale would keep evicting live lines while the freed way sits
-        // idle until some unrelated fill happens to re-point the path.
-        let base = set * (self.ways - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let right = way >= mid;
-            self.bits[base + node] = right;
-            if right {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
+        // Inverse of `touch`: point every node on the path *toward* the
+        // invalidated way, so the next victim search lands on it. Leaving
+        // the bits stale would keep evicting live lines while the freed way
+        // sits idle until some unrelated fill happens to re-point the path.
+        let (mask, away) = self.paths[way];
+        let b = &mut self.bits[set];
+        *b = (*b & !mask) | (mask & !away);
     }
 
     fn name(&self) -> &'static str {
@@ -403,8 +386,7 @@ impl ReplacementPolicy for Srrip {
     fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
         let base = set * self.ways;
         loop {
-            if let Some(w) =
-                (0..self.ways).find(|&w| allowed[w] && self.rrpv[base + w] == RRPV_MAX)
+            if let Some(w) = (0..self.ways).find(|&w| allowed[w] && self.rrpv[base + w] == RRPV_MAX)
             {
                 return w;
             }

@@ -173,8 +173,9 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidConfig`] if any component is invalid or
-    /// there are no cores.
+    /// Returns [`ModelError::InvalidConfig`] if any component is invalid,
+    /// there are no cores, or a cache's replacement policy cannot hold its
+    /// geometry (tree-PLRU needs a power-of-two way count).
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.cores == 0 {
             return Err(ModelError::InvalidConfig {
@@ -188,17 +189,28 @@ impl MachineConfig {
         }
         self.timing.validate()?;
         self.dram.validate()?;
-        for (name, c) in [
-            ("l1", &self.l1),
-            ("l2", &self.l2),
-            ("llc", &self.llc),
-            ("mee_cache", &self.mee_cache),
+        // The private caches and the MEE cache run `mee_policy`.
+        for (name, c, policy) in [
+            ("l1", &self.l1, self.mee_policy),
+            ("l2", &self.l2, self.mee_policy),
+            ("llc", &self.llc, self.llc_policy),
+            ("mee_cache", &self.mee_cache, self.mee_policy),
         ] {
-            CacheConfig::from_capacity(c.capacity_bytes(), c.ways, c.line_size).map_err(|_| {
-                ModelError::InvalidConfig {
-                    reason: format!("invalid {name} cache geometry: {c:?}"),
-                }
-            })?;
+            let invalid = |why: String| ModelError::InvalidConfig {
+                reason: format!("invalid {name} cache geometry {c:?}: {why}"),
+            };
+            CacheConfig::from_capacity(c.capacity_bytes(), c.ways, c.line_size).map_err(
+                |e| match e {
+                    ModelError::InvalidConfig { reason } => invalid(reason),
+                    e => e,
+                },
+            )?;
+            if policy == PolicyKind::TreePlru && !c.ways.is_power_of_two() {
+                return Err(invalid(format!(
+                    "tree-PLRU needs a power-of-two way count, got {}",
+                    c.ways
+                )));
+            }
         }
         Ok(())
     }
@@ -250,6 +262,46 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.l1.sets = 3;
         assert!(cfg.validate().is_err());
+    }
+
+    /// A geometry the cache's policy cannot hold is a typed error at the
+    /// config boundary, not a panic in `Machine::new`.
+    #[test]
+    fn policy_geometry_mismatch_is_a_typed_error() {
+        // A 12-way L2 under the default tree-PLRU.
+        let mut cfg = MachineConfig {
+            l2: CacheConfig {
+                sets: 1024,
+                ways: 12,
+                line_size: 64,
+            },
+            ..MachineConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            matches!(&err, ModelError::InvalidConfig { reason } if reason.contains("l2") && reason.contains("power-of-two")),
+            "{err}"
+        );
+        assert!(crate::Machine::new(cfg.clone()).is_err());
+        // Exact LRU holds any way count the valid mask can.
+        cfg.mee_policy = PolicyKind::TrueLru;
+        cfg.validate().unwrap();
+
+        // More ways than a set's valid mask holds, under any policy.
+        let cfg = MachineConfig {
+            llc: CacheConfig {
+                sets: 64,
+                ways: 128,
+                line_size: 64,
+            },
+            llc_policy: PolicyKind::TrueLru,
+            ..MachineConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            matches!(&err, ModelError::InvalidConfig { reason } if reason.contains("llc") && reason.contains("128 ways")),
+            "{err}"
+        );
     }
 
     #[test]

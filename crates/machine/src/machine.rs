@@ -620,18 +620,10 @@ impl Machine {
     /// wins stay upstream: one core validation, one page translation,
     /// and one call frame per address instead of two.
     ///
-    /// An earlier variant fused each level's load and flush into
-    /// [`SetAssocCache::access_then_invalidate`], which reorders this
-    /// core's `on_invalidate(line)` against the back-invalidation of an
-    /// LLC victim mapping to the same private-cache set (set counts are
-    /// powers of two, so a same-LLC-set victim always shares the
-    /// private set too). With the current policies that transient
-    /// metadata divergence heals before any victim query can read it —
-    /// the two emptied ways must be refilled first, and refills rewrite
-    /// the divergent path bits — but the equivalence rests on that
-    /// whole-hierarchy argument rather than local reasoning, so the
-    /// sweep now keeps the split order; the seeded differential test
-    /// `sweep_matches_split_under_l1_resident_llc_victims` pins it.
+    /// Per-level fusion of the two halves is not bit-identical in general
+    /// (`DESIGN.md`, "The batched sweep pair"); the seeded differential
+    /// test `sweep_matches_split_under_l1_resident_llc_victims` holds the
+    /// batch to the split path.
     fn sweep_pair_at(
         &mut self,
         core: CoreId,

@@ -20,14 +20,16 @@ pub struct EnvKnobError {
     pub value: String,
     /// Human-readable description of the accepted grammar.
     pub expected: &'static str,
+    /// A value the grammar accepts, shown in the message.
+    pub example: &'static str,
 }
 
 impl fmt::Display for EnvKnobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid {} value {:?} (must be {}, e.g. {}=4)",
-            self.name, self.value, self.expected, self.name
+            "invalid {} value {:?} (must be {}, e.g. {}={})",
+            self.name, self.value, self.expected, self.name, self.example
         )
     }
 }
@@ -50,6 +52,7 @@ where
             name,
             value: value.to_owned(),
             expected: "a positive integer",
+            example: "4",
         }),
     }
 }
@@ -64,6 +67,7 @@ pub fn parse_unsigned<T: FromStr>(name: &'static str, value: &str) -> Result<T, 
         name,
         value: value.to_owned(),
         expected: "an unsigned integer",
+        example: "42",
     })
 }
 
@@ -81,6 +85,7 @@ pub fn parse_nonempty(name: &'static str, value: &str) -> Result<String, EnvKnob
             name,
             value: value.to_owned(),
             expected: "a non-empty path",
+            example: "runs/campaign",
         })
     } else {
         Ok(trimmed.to_owned())
@@ -144,6 +149,29 @@ mod tests {
         assert_eq!(parse_unsigned::<u64>("K", "42"), Ok(42));
         assert!(parse_unsigned::<u64>("K", "-1").is_err());
         assert!(parse_unsigned::<u64>("K", "seed").is_err());
+    }
+
+    /// Each grammar's message names its own example value.
+    #[test]
+    fn messages_pin_each_grammar_and_example() {
+        assert_eq!(
+            parse_positive::<usize>("MEE_SWEEP_THREADS", "0")
+                .unwrap_err()
+                .to_string(),
+            r#"invalid MEE_SWEEP_THREADS value "0" (must be a positive integer, e.g. MEE_SWEEP_THREADS=4)"#
+        );
+        assert_eq!(
+            parse_unsigned::<u64>("MEE_PROP_SEED", "seed")
+                .unwrap_err()
+                .to_string(),
+            r#"invalid MEE_PROP_SEED value "seed" (must be an unsigned integer, e.g. MEE_PROP_SEED=42)"#
+        );
+        assert_eq!(
+            parse_nonempty("MEE_CAMPAIGN_DIR", " ")
+                .unwrap_err()
+                .to_string(),
+            r#"invalid MEE_CAMPAIGN_DIR value " " (must be a non-empty path, e.g. MEE_CAMPAIGN_DIR=runs/campaign)"#
+        );
     }
 
     #[test]
