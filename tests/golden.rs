@@ -187,15 +187,18 @@ fn event_trace_matches_snapshot() {
     check_golden("event_trace.txt", &s);
 }
 
-/// Pins the two channels no figure golden covers: the LLC Prime+Probe
-/// channel (quiet and noisy machine) and the multi-lane wide channel (2 and
-/// 4 lanes). Per run: the FNV-64 hash of the received bits, the final spy
-/// and trojan core clocks, and the MEE and LLC statistics — so a shifted
-/// step, access or flush anywhere in either channel's actors is a diff.
+/// Pins the channels no figure golden covers step for step: the LLC
+/// Prime+Probe channel (quiet and noisy machine), the multi-lane wide
+/// channel (2 and 4 lanes) and the Prime+Probe baseline over the MEE cache
+/// (Fig. 6a; its golden pins the decoded bits but not the clocks). Per run:
+/// the FNV-64 hash of the received bits, the final spy and trojan core
+/// clocks, and the MEE and LLC statistics — so a shifted step, access or
+/// flush anywhere in a channel's actors is a diff.
 #[test]
 fn channels_match_snapshot() {
     use mee_covert::attack::channel::llc::LlcSession;
-    use mee_covert::attack::channel::{random_bits, WideSession};
+    use mee_covert::attack::channel::prime_probe::PrimeProbeSession;
+    use mee_covert::attack::channel::{alternating_bits, random_bits, WideSession};
     use mee_covert::attack::setup::AttackSetup;
     use mee_covert::types::Cycles;
 
@@ -248,5 +251,9 @@ fn channels_match_snapshot() {
         let out = wide.transmit(&mut setup, &random_bits(64, seed)).unwrap();
         record(&mut s, &format!("wide{lanes}"), &setup, &out.received);
     }
+    let mut setup = AttackSetup::new(seed).unwrap();
+    let pp = PrimeProbeSession::establish(&mut setup, &ChannelConfig::sweep_setup()).unwrap();
+    let out = pp.transmit(&mut setup, &alternating_bits(24)).unwrap();
+    record(&mut s, "prime_probe", &setup, &out.received);
     check_golden("channels.txt", &s);
 }
