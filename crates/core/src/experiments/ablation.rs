@@ -76,7 +76,9 @@ pub fn run_ablation(seed: u64, bits: usize) -> Result<AblationResult, ModelError
         PolicyKind::TreePlru,
         PolicyKind::TrueLru,
         PolicyKind::Srrip,
-        PolicyKind::Random { seed: seed ^ 0xabcd },
+        PolicyKind::Random {
+            seed: seed ^ 0xabcd,
+        },
     ];
     let strategies = [EvictionStrategy::TwoPhase, EvictionStrategy::ForwardOnly];
     let mut points = Vec::new();

@@ -45,7 +45,10 @@ impl fmt::Display for Fig4Result {
             .iter()
             .map(|(k, p)| vec![k.to_string(), format!("{p:.2}")])
             .collect();
-        f.write_str(&report::table(&["candidates", "eviction probability"], &rows))?;
+        f.write_str(&report::table(
+            &["candidates", "eviction probability"],
+            &rows,
+        ))?;
         let entries: Vec<(String, f64)> = self
             .capacity
             .points

@@ -69,9 +69,15 @@ impl fmt::Display for Fig5Result {
                 .unwrap_or_else(|| "-".into());
             rows.push(vec![level.label().to_string(), count.to_string(), mean]);
         }
-        f.write_str(&report::table(&["hit level", "samples", "mean cycles"], &rows))?;
+        f.write_str(&report::table(
+            &["hit level", "samples", "mean cycles"],
+            &rows,
+        ))?;
 
-        writeln!(f, "\nlatency histogram (all strides pooled, 40-cycle bins):")?;
+        writeln!(
+            f,
+            "\nlatency histogram (all strides pooled, 40-cycle bins):"
+        )?;
         let samples: Vec<u64> = pooled.samples.iter().map(|s| s.latency.raw()).collect();
         f.write_str(&report::latency_histogram(&samples, 40, 30))?;
 
@@ -102,7 +108,10 @@ mod tests {
         let pooled = r.pooled();
         // Versions-hit mean ≈ 480 and strictly below any deeper level mean.
         let versions = pooled.mean_at(HitLevel::Versions).unwrap();
-        assert!((420..=560).contains(&versions.raw()), "versions = {versions}");
+        assert!(
+            (420..=560).contains(&versions.raw()),
+            "versions = {versions}"
+        );
         for level in [HitLevel::L0, HitLevel::L1, HitLevel::L2, HitLevel::Root] {
             if let Some(m) = pooled.mean_at(level) {
                 assert!(m > versions, "{level} mean {m} not above versions");

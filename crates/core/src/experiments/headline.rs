@@ -59,7 +59,11 @@ pub fn run_headline(seed: u64, bits: usize) -> Result<HeadlineResult, ModelError
 
 impl fmt::Display for HeadlineResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Headline — 15000-cycle window, {} random bits", self.bits)?;
+        writeln!(
+            f,
+            "Headline — 15000-cycle window, {} random bits",
+            self.bits
+        )?;
         let rows = vec![
             vec![
                 "raw (paper)".to_string(),
@@ -72,7 +76,10 @@ impl fmt::Display for HeadlineResult {
                 report::pct(self.coded_error_rate),
             ],
         ];
-        f.write_str(&report::table(&["channel", "rate (KBps)", "error rate"], &rows))?;
+        f.write_str(&report::table(
+            &["channel", "rate (KBps)", "error rate"],
+            &rows,
+        ))?;
         writeln!(f, "paper reports: 35 KBps at 1.7% error, no error handling")
     }
 }

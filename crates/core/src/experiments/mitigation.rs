@@ -89,9 +89,7 @@ impl fmt::Display for MitigationResult {
                 vec![
                     p.fill_ways.to_string(),
                     if p.established { "yes" } else { "no" }.to_string(),
-                    p.error_rate
-                        .map(report::pct)
-                        .unwrap_or_else(|| "-".into()),
+                    p.error_rate.map(report::pct).unwrap_or_else(|| "-".into()),
                 ]
             })
             .collect();

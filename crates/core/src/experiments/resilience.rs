@@ -116,7 +116,16 @@ impl fmt::Display for ResilienceResult {
         writeln!(
             f,
             "{:<7} {:>6} {:>8} {:>10} {:>7} {:>6} {:>5} {:>6} {:>9} {:>8}",
-            "plan", "faults", "raw_ber", "robust_ber", "resid", "retx", "escal", "recal", "final_w", "KB/s"
+            "plan",
+            "faults",
+            "raw_ber",
+            "robust_ber",
+            "resid",
+            "retx",
+            "escal",
+            "recal",
+            "final_w",
+            "KB/s"
         )?;
         for p in &self.points {
             writeln!(

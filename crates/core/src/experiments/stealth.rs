@@ -62,8 +62,8 @@ pub fn run_stealth(seed: u64, bits: usize) -> Result<StealthResult, ModelError> 
         ChannelFootprint {
             kbps: out.kbps,
             error_rate: out.error_rate(),
-            llc_evictions_per_bit: (setup.machine.llc().stats().evictions
-                - llc_evictions_before) as f64
+            llc_evictions_per_bit: (setup.machine.llc().stats().evictions - llc_evictions_before)
+                as f64
                 / bits as f64,
             mee_walks_per_bit: (setup.machine.mee().stats().reads - mee_reads_before) as f64
                 / bits as f64,
@@ -81,8 +81,8 @@ pub fn run_stealth(seed: u64, bits: usize) -> Result<StealthResult, ModelError> 
         ChannelFootprint {
             kbps: out.kbps,
             error_rate: out.errors.rate(),
-            llc_evictions_per_bit: (setup.machine.llc().stats().evictions
-                - llc_evictions_before) as f64
+            llc_evictions_per_bit: (setup.machine.llc().stats().evictions - llc_evictions_before)
+                as f64
                 / bits as f64,
             mee_walks_per_bit: (setup.machine.mee().stats().reads - mee_reads_before) as f64
                 / bits as f64,
@@ -150,8 +150,7 @@ mod tests {
         assert!(r.llc_channel.kbps > r.mee_channel.kbps);
         // …but inflicts far more LLC conflict evictions.
         assert!(
-            r.llc_channel.llc_evictions_per_bit
-                > r.mee_channel.llc_evictions_per_bit * 3.0,
+            r.llc_channel.llc_evictions_per_bit > r.mee_channel.llc_evictions_per_bit * 3.0,
             "LLC {} vs MEE {} evictions/bit",
             r.llc_channel.llc_evictions_per_bit,
             r.mee_channel.llc_evictions_per_bit

@@ -68,8 +68,18 @@ pub fn run_timers(seed: u64, ocall_samples: usize) -> Result<TimersResult, Model
 impl TimersResult {
     /// Min/max OCALL cost observed.
     pub fn ocall_range(&self) -> (Cycles, Cycles) {
-        let min = self.ocall_costs.iter().min().copied().unwrap_or(Cycles::ZERO);
-        let max = self.ocall_costs.iter().max().copied().unwrap_or(Cycles::ZERO);
+        let min = self
+            .ocall_costs
+            .iter()
+            .min()
+            .copied()
+            .unwrap_or(Cycles::ZERO);
+        let max = self
+            .ocall_costs
+            .iter()
+            .max()
+            .copied()
+            .unwrap_or(Cycles::ZERO);
         (min, max)
     }
 }
@@ -92,10 +102,16 @@ impl fmt::Display for TimersResult {
             vec![
                 "timer-thread mailbox (fig 2c)".to_string(),
                 self.timer_read_cost.raw().to_string(),
-                format!("paper: ~50 cycles, ±{}-cycle granularity", self.timer_quantum),
+                format!(
+                    "paper: ~50 cycles, ±{}-cycle granularity",
+                    self.timer_quantum
+                ),
             ],
         ];
-        f.write_str(&report::table(&["primitive", "cost (cycles)", "notes"], &rows))?;
+        f.write_str(&report::table(
+            &["primitive", "cost (cycles)", "notes"],
+            &rows,
+        ))?;
         writeln!(
             f,
             "rdtsc in enclave: {}",

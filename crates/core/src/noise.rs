@@ -125,10 +125,7 @@ impl MemStressActor {
     /// # Errors
     ///
     /// Propagates mapping errors.
-    pub fn install_on(
-        setup: &mut AttackSetup,
-        pages: usize,
-    ) -> Result<(ProcId, Self), ModelError> {
+    pub fn install_on(setup: &mut AttackSetup, pages: usize) -> Result<(ProcId, Self), ModelError> {
         Self::install(&mut setup.machine, pages, VirtAddr::new(0x7800_0000))
     }
 }
@@ -154,8 +151,7 @@ mod tests {
         let mut setup = AttackSetup::quiet(91).unwrap();
         let (proc, mut actor) = MeeNoiseActor::install_on(&mut setup, 512, 64).unwrap();
         let before = setup.machine.mee().stats().reads;
-        let mut actors: Vec<mee_machine::ActorRef<'_>> =
-            vec![(CoreId::new(2), proc, &mut actor)];
+        let mut actors: Vec<mee_machine::ActorRef<'_>> = vec![(CoreId::new(2), proc, &mut actor)];
         run_actor_refs(&mut setup.machine, &mut actors, Cycles::new(200_000)).unwrap();
         let after = setup.machine.mee().stats().reads;
         assert!(after > before + 100, "only {} MEE reads", after - before);
@@ -166,8 +162,7 @@ mod tests {
         let mut setup = AttackSetup::quiet(92).unwrap();
         let (proc, mut actor) = MemStressActor::install_on(&mut setup, 128).unwrap();
         let before = setup.machine.mee().stats().reads;
-        let mut actors: Vec<mee_machine::ActorRef<'_>> =
-            vec![(CoreId::new(2), proc, &mut actor)];
+        let mut actors: Vec<mee_machine::ActorRef<'_>> = vec![(CoreId::new(2), proc, &mut actor)];
         run_actor_refs(&mut setup.machine, &mut actors, Cycles::new(200_000)).unwrap();
         assert_eq!(setup.machine.mee().stats().reads, before);
         // But it does hammer the LLC.

@@ -1,6 +1,6 @@
 //! The MEE cache capacity experiment (paper §4.1, Figure 4).
 
-use mee_types::{Cycles, ModelError, LINE_SIZE, LINES_PER_PAGE};
+use mee_types::{Cycles, ModelError, LINES_PER_PAGE, LINE_SIZE};
 
 use crate::setup::AttackSetup;
 use crate::threshold::LatencyClassifier;
@@ -195,8 +195,7 @@ mod tests {
     #[test]
     fn sweep_shows_figure4_shape() {
         let mut setup = AttackSetup::quiet(23).unwrap();
-        let result =
-            run_capacity_experiment(&mut setup, &[2, 8, 32, 64], 12, 0).unwrap();
+        let result = run_capacity_experiment(&mut setup, &[2, 8, 32, 64], 12, 0).unwrap();
         assert_eq!(result.points.len(), 4);
         let p2 = result.points[0].1;
         let p64 = result.points[3].1;

@@ -183,7 +183,10 @@ pub fn find_eviction_set(
         }
         // A plausible associativity (a small conflicting set) is accepted;
         // otherwise the test address was polluted — try another one.
-        if best.as_ref().is_some_and(|(b, _)| (2..=16).contains(&b.len())) {
+        if best
+            .as_ref()
+            .is_some_and(|(b, _)| (2..=16).contains(&b.len()))
+        {
             break;
         }
     }

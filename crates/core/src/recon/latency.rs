@@ -206,8 +206,7 @@ mod tests {
     #[test]
     fn ladder_means_increase_across_strides() {
         let mut setup = AttackSetup::quiet(44).unwrap();
-        let censuses =
-            run_latency_census(&mut setup, &PAPER_STRIDES, 48, 2).unwrap();
+        let censuses = run_latency_census(&mut setup, &PAPER_STRIDES, 48, 2).unwrap();
         // Pool all samples; per-level means must be strictly increasing in
         // ladder order wherever adjacent levels both have samples.
         let mut pooled: Vec<LatencySample> = Vec::new();
@@ -222,10 +221,7 @@ mod tests {
         for level in HitLevel::ALL {
             if let Some(mean) = all.mean_at(level) {
                 if let Some(p) = prev {
-                    assert!(
-                        mean > p,
-                        "{level} mean {mean} not above previous {p}"
-                    );
+                    assert!(mean > p, "{level} mean {mean} not above previous {p}");
                 }
                 prev = Some(mean);
             }

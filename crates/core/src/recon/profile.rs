@@ -20,7 +20,7 @@
 //! published answer. The tests point the pipeline at machines with
 //! geometries the attacker does not know and check it recovers them.
 
-use mee_types::{ModelError, LINE_SIZE, LINES_PER_PAGE};
+use mee_types::{ModelError, LINES_PER_PAGE, LINE_SIZE};
 
 use crate::recon::capacity::run_capacity_experiment;
 use crate::recon::eviction::find_eviction_set;
@@ -102,8 +102,7 @@ pub fn profile_mee_cache(
         find_eviction_set(&mut cpu, &candidates, &classifier, reps)?
     };
     let ways = eviction.associativity().max(1);
-    let classes =
-        ((eviction.index_set_size as f64 / ways as f64).round() as usize).max(1);
+    let classes = ((eviction.index_set_size as f64 / ways as f64).round() as usize).max(1);
     let sets = classes * REGION_LINES;
 
     // Corroborating capacity sweep (Figure 4): find the first power-of-two

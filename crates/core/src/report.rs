@@ -100,12 +100,7 @@ pub fn latency_histogram(samples: &[u64], bin_width: u64, max_rows: usize) -> St
     let entries: Vec<(String, f64)> = counts
         .iter()
         .enumerate()
-        .map(|(i, &c)| {
-            (
-                format!("{:>6}", lo + i as u64 * bin_width),
-                c as f64,
-            )
-        })
+        .map(|(i, &c)| (format!("{:>6}", lo + i as u64 * bin_width), c as f64))
         .collect();
     bar_chart(&entries, 50)
 }
@@ -149,10 +144,7 @@ mod tests {
 
     #[test]
     fn bar_chart_scales_to_max() {
-        let chart = bar_chart(
-            &[("a".into(), 1.0), ("b".into(), 2.0)],
-            10,
-        );
+        let chart = bar_chart(&[("a".into(), 1.0), ("b".into(), 2.0)], 10);
         let lines: Vec<&str> = chart.lines().collect();
         assert!(lines[1].matches('#').count() == 10);
         assert!(lines[0].matches('#').count() == 5);

@@ -251,7 +251,12 @@ mod tests {
         let mut cpu = setup.spy_handle();
         let cal = LatencyClassifier::calibrate(&mut cpu, probe, &deep, 8).unwrap();
         let diff = cal.threshold.raw() as i64 - nominal.threshold.raw() as i64;
-        assert!(diff.abs() < 120, "calibrated {} vs nominal {}", cal.threshold, nominal.threshold);
+        assert!(
+            diff.abs() < 120,
+            "calibrated {} vs nominal {}",
+            cal.threshold,
+            nominal.threshold
+        );
         // And the calibrated threshold still separates the clusters.
         let t = &setup.machine.config().timing;
         assert!(cal.is_versions_hit(t.protected_hit_latency(0)));
