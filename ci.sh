@@ -11,7 +11,7 @@ cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Formatting gate, so far for the crates that have been brought to rustfmt
 # style; extend the package list as more crates are formatted.
-cargo fmt -p mee-cache -p mee-machine -p mee-sweep -p mee-campaign -- --check
+cargo fmt -p mee-cache -p mee-machine -p mee-sweep -p mee-campaign -p mee-attack -- --check
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \

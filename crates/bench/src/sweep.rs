@@ -43,13 +43,12 @@ pub struct SweepReport {
     pub records: Vec<ChannelSweepPoint>,
 }
 
-/// Nearest-rank percentile of an unsorted sample set.
+/// Nearest-rank percentile ([`mee_sweep::percentile`]) of an unsorted
+/// sample set.
 fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of an empty sweep");
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("values are finite"));
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    mee_sweep::percentile(&sorted, p)
 }
 
 impl SweepReport {

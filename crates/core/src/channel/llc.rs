@@ -11,13 +11,12 @@
 //! [`stealth`](crate::experiments::stealth) experiment quantifies the
 //! difference in footprint.
 
-use mee_machine::{run_actor_refs, ActorRef, ProcId};
+use mee_machine::{NoopHook, ProcId};
 use mee_mem::AddressSpaceKind;
 use mee_types::{Cycles, ModelError, VirtAddr, LINE_SIZE, PAGE_SIZE};
 
-use crate::channel::message::BitErrors;
 use crate::channel::prime_probe::{MidWindowTouch, SetProbe};
-use crate::channel::windowed::{Schedule, WindowedActor};
+use crate::channel::windowed::{run_windows, Schedule, TransmitOutcome};
 use crate::setup::AttackSetup;
 
 /// An established LLC Prime+Probe channel between two regular processes.
@@ -35,19 +34,6 @@ pub struct LlcSession {
     pub window: Cycles,
     /// Probe-time decode threshold.
     pub probe_threshold: Cycles,
-}
-
-/// Outcome of an LLC-channel transmission.
-#[derive(Debug, Clone)]
-pub struct LlcOutcome {
-    /// What was sent.
-    pub sent: Vec<bool>,
-    /// What was decoded.
-    pub received: Vec<bool>,
-    /// Positional errors.
-    pub errors: BitErrors,
-    /// Raw channel rate in KBps.
-    pub kbps: f64,
 }
 
 impl LlcSession {
@@ -134,42 +120,41 @@ impl LlcSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<LlcOutcome, ModelError> {
+    ) -> Result<TransmitOutcome, ModelError> {
         let schedule = Schedule::agree(
             &setup.machine,
             setup.spy.core,
             setup.trojan.core,
             self.window,
         )?;
-        let mut trojan = WindowedActor::new(
-            schedule,
-            bits.len(),
-            MidWindowTouch::new(self.target, bits.to_vec()),
-        );
         // No flushes: the eviction set's lines alias in the (smaller) L1/L2
         // sets, so probe accesses naturally fall through to the LLC.
-        let mut spy = WindowedActor::new(
+        let (probe, _) = run_windows(
+            &mut setup.machine,
             schedule,
-            bits.len() + 1,
-            SetProbe::new(self.eviction_set.clone(), false),
-        );
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, self.spy_proc, &mut spy),
-                (setup.trojan.core, self.trojan_proc, &mut trojan),
-            ];
-            let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
-        }
-        let received = spy.action().decode(self.probe_threshold);
-        let errors = BitErrors::compare(bits, &received);
-        let kbps = schedule.kbps(&setup.machine, bits.len(), bits.len());
-        Ok(LlcOutcome {
-            sent: bits.to_vec(),
-            received,
-            errors,
-            kbps,
-        })
+            bits.len(),
+            (
+                setup.spy.core,
+                self.spy_proc,
+                SetProbe::new(self.eviction_set.clone(), false),
+            ),
+            (
+                setup.trojan.core,
+                self.trojan_proc,
+                MidWindowTouch::new(self.target, bits.to_vec()),
+            ),
+            &mut [],
+            &mut NoopHook,
+        )?;
+        Ok(TransmitOutcome::new(
+            &setup.machine,
+            schedule,
+            bits.len(),
+            bits,
+            probe.decode(self.probe_threshold),
+            probe.probe_times(),
+            &[],
+        ))
     }
 }
 

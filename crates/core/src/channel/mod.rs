@@ -14,7 +14,10 @@
 //! Every channel's actor is a [`WindowedActor`] running one per-window
 //! [`WindowAction`]: [`EvictionSweep`] and [`TimedProbe`] here,
 //! [`wide::LaneSweep`], and the baselines' [`prime_probe::MidWindowTouch`]
-//! and [`prime_probe::SetProbe`].
+//! and [`prime_probe::SetProbe`]. Every channel — [`Session`],
+//! [`prime_probe::PrimeProbeSession`], [`llc::LlcSession`] and
+//! [`WideSession`] — transmits through one windowed runner and returns one
+//! [`TransmitOutcome`].
 //!
 //! [`prime_probe`] implements the straightforward port of LLC Prime+Probe
 //! the paper shows *failing* over the MEE cache (Figure 6a), and
@@ -38,8 +41,8 @@ pub use config::{ChannelConfig, EvictionStrategy, RecoveryPolicy};
 pub use leak::{bits_to_bytes, bytes_to_bits, LeakOutcome};
 pub use message::{alternating_bits, paper_100_pattern, random_bits, BitErrors};
 pub use reliable::{ReliableLink, ReliableStats};
-pub use session::{RobustOutcome, Session, TransmitOutcome};
+pub use session::{RobustOutcome, Session};
 pub use spy::TimedProbe;
 pub use trojan::EvictionSweep;
-pub use wide::{WideOutcome, WideSession};
-pub use windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};
+pub use wide::WideSession;
+pub use windowed::{Flow, Schedule, Slot, TransmitOutcome, WindowAction, WindowedActor};

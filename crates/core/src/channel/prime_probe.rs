@@ -10,16 +10,13 @@
 //! channel drowns in access-latency variance. That failure is the paper's
 //! motivation for reversing the roles.
 
-use mee_machine::{run_actor_refs, ActorRef, CoreHandle};
+use mee_machine::{CoreHandle, NoopHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::ChannelConfig;
-use crate::channel::message::BitErrors;
-use crate::channel::session::find_conflicting;
-use crate::channel::windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};
-use crate::recon::eviction::find_eviction_set;
+use crate::channel::session::Session;
+use crate::channel::windowed::{run_windows, Flow, Schedule, Slot, TransmitOutcome, WindowAction};
 use crate::setup::AttackSetup;
-use crate::threshold::LatencyClassifier;
 
 /// The baseline trojan's action: touches one address per `1` window (also
 /// the LLC channel's trojan).
@@ -139,60 +136,20 @@ pub struct PrimeProbeSession {
     pub probe_threshold: Cycles,
 }
 
-/// Result of a baseline transmission.
-#[derive(Debug, Clone)]
-pub struct PrimeProbeOutcome {
-    /// What the trojan sent.
-    pub sent: Vec<bool>,
-    /// What the spy decoded.
-    pub received: Vec<bool>,
-    /// Total 8-way probe durations (the y-axis of Figure 6a).
-    pub probe_times: Vec<Cycles>,
-    /// Positional errors.
-    pub errors: BitErrors,
-}
-
 impl PrimeProbeSession {
-    /// Establishes the baseline: the *spy* runs Algorithm 1, then the
-    /// conflicting trojan address is found with the role-swapped handshake.
-    /// The probe threshold is calibrated from quiet sweeps: mean + half the
-    /// versions-hit/miss signal.
+    /// Establishes the baseline: the channel's establishment with the
+    /// roles swapped ([`Session::establish_directed`] with the spy
+    /// building the eviction set and the trojan searching for its
+    /// conflicting address), then a probe threshold calibrated from quiet
+    /// sweeps: mean + half the versions-hit/miss signal.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Session::establish`](crate::channel::Session::establish).
+    /// Same conditions as [`Session::establish`].
     pub fn establish(setup: &mut AttackSetup, cfg: &ChannelConfig) -> Result<Self, ModelError> {
-        cfg.validate()?;
-        // Host-time span over the baseline's establishment, recorded at the
-        // end; wall-clock only.
-        let host_start = std::time::Instant::now();
-        let classifier = LatencyClassifier::from_timing(&setup.machine.config().timing);
-
-        // Spy builds the eviction set this time.
-        let candidates = setup
-            .spy
-            .candidates(cfg.trojan_candidates, cfg.agreed_offset);
-        let eviction_set = {
-            let mut cpu = setup.spy_handle();
-            find_eviction_set(&mut cpu, &candidates, &classifier, cfg.setup_reps)?.eviction_set
-        };
-
-        // Trojan finds one conflicting address (the role-swapped handshake).
-        let trojan_candidates = setup
-            .trojan
-            .candidates(cfg.spy_candidates, cfg.agreed_offset);
-        let target = find_conflicting(
-            setup,
-            setup.trojan,
-            setup.spy,
-            &trojan_candidates,
-            &eviction_set,
-            &classifier,
-            cfg.setup_reps,
-        )?
-        .ok_or_else(|| ModelError::InvalidConfig {
-            reason: "no conflicting trojan address found for the baseline".into(),
-        })?;
+        let (spy, trojan) = (setup.spy, setup.trojan);
+        let swapped = Session::establish_directed(setup, spy, trojan, cfg)?;
+        let eviction_set = swapped.eviction_set;
 
         // Calibrate the probe threshold: quiet all-hit sweeps.
         let mut quiet_total = 0u64;
@@ -211,15 +168,10 @@ impl PrimeProbeSession {
         let t = &setup.machine.config().timing;
         let signal = t.protected_hit_latency(1) - t.protected_hit_latency(0);
         let probe_threshold = Cycles::new(quiet_mean + signal.raw() / 2);
-        setup
-            .machine
-            .obs_mut()
-            .host
-            .record("establish", host_start.elapsed());
 
         Ok(PrimeProbeSession {
             eviction_set,
-            target,
+            target: swapped.monitor,
             config: cfg.clone(),
             probe_threshold,
         })
@@ -235,39 +187,39 @@ impl PrimeProbeSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<PrimeProbeOutcome, ModelError> {
+    ) -> Result<TransmitOutcome, ModelError> {
         let schedule = Schedule::agree(
             &setup.machine,
             setup.spy.core,
             setup.trojan.core,
             self.config.window,
         )?;
-        let mut trojan = WindowedActor::new(
+        let (probe, _) = run_windows(
+            &mut setup.machine,
             schedule,
             bits.len(),
-            MidWindowTouch::new(self.target, bits.to_vec()),
-        );
-        let mut spy = WindowedActor::new(
+            (
+                setup.spy.core,
+                setup.spy.proc,
+                SetProbe::new(self.eviction_set.clone(), true),
+            ),
+            (
+                setup.trojan.core,
+                setup.trojan.proc,
+                MidWindowTouch::new(self.target, bits.to_vec()),
+            ),
+            &mut [],
+            &mut NoopHook,
+        )?;
+        Ok(TransmitOutcome::new(
+            &setup.machine,
             schedule,
-            bits.len() + 1,
-            SetProbe::new(self.eviction_set.clone(), true),
-        );
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, setup.spy.proc, &mut spy),
-                (setup.trojan.core, setup.trojan.proc, &mut trojan),
-            ];
-            let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
-        }
-        let received = spy.action().decode(self.probe_threshold);
-        let errors = BitErrors::compare(bits, &received);
-        Ok(PrimeProbeOutcome {
-            sent: bits.to_vec(),
-            received,
-            probe_times: spy.action().probe_times().to_vec(),
-            errors,
-        })
+            bits.len(),
+            bits,
+            probe.decode(self.probe_threshold),
+            probe.probe_times(),
+            &[],
+        ))
     }
 }
 
@@ -325,19 +277,27 @@ mod tests {
             ..ChannelConfig::sweep_setup()
         };
         let plan = crate::experiments::SweepPlan::new(2019, 16);
-        let sweep = crate::experiments::run_fig6_sweep(&plan, 24, &cfg).unwrap();
-        let pooled = sweep.pooled();
-        assert_eq!(pooled.total_bits, 16 * 24);
+        let runs = plan
+            .runner()
+            .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
+                crate::experiments::run_fig6_with(spec.seed, 24, &cfg)
+            })
+            .unwrap();
+        let total_bits: usize = runs.iter().map(|r| r.this_work.sent.len()).sum();
+        let rate = |errors: usize| errors as f64 / total_bits as f64;
+        let prime_probe_rate = rate(runs.iter().map(|r| r.prime_probe.errors.count()).sum());
+        let this_work_rate = rate(runs.iter().map(|r| r.this_work.errors.count()).sum());
+        assert_eq!(total_bits, 16 * 24);
         assert!(
-            pooled.prime_probe_rate() > pooled.this_work_rate() + 0.05,
+            prime_probe_rate > this_work_rate + 0.05,
             "Prime+Probe ({:.1}%) should be clearly worse than the MEE channel ({:.1}%)",
-            pooled.prime_probe_rate() * 100.0,
-            pooled.this_work_rate() * 100.0
+            prime_probe_rate * 100.0,
+            this_work_rate * 100.0
         );
         assert!(
-            pooled.this_work_rate() < 0.10,
+            this_work_rate < 0.10,
             "pooled MEE-channel error rate {:.1}% too high",
-            pooled.this_work_rate() * 100.0
+            this_work_rate * 100.0
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Establishing and running the covert channel.
 
-use mee_machine::{run_actor_refs_hooked, ActorRef, CoreHandle, NoopHook, StepHook};
+use mee_machine::{ActorRef, CoreHandle, NoopHook, StepHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::coding;
@@ -8,7 +8,7 @@ use crate::channel::config::ChannelConfig;
 use crate::channel::message::BitErrors;
 use crate::channel::spy::TimedProbe;
 use crate::channel::trojan::EvictionSweep;
-use crate::channel::windowed::{Schedule, WindowedActor};
+use crate::channel::windowed::{run_windows, Schedule, TransmitOutcome};
 use crate::recon::eviction::find_eviction_set;
 use crate::setup::{AttackSetup, Tenant};
 use crate::threshold::{AdaptiveClassifier, LatencyClassifier};
@@ -29,35 +29,6 @@ pub struct Session {
     pub receiver: Tenant,
     /// Classifier for true-latency samples (setup-time probes).
     classifier: LatencyClassifier,
-}
-
-/// The result of one transmission.
-#[derive(Debug, Clone)]
-#[must_use = "a transmission outcome carries the decoded bits and error statistics"]
-pub struct TransmitOutcome {
-    /// What the trojan sent.
-    pub sent: Vec<bool>,
-    /// What the spy decoded.
-    pub received: Vec<bool>,
-    /// The spy's de-biased probe durations (index 0 is the prime probe) —
-    /// the y-axis of Figures 6(b) and 8.
-    pub probe_times: Vec<Cycles>,
-    /// Positional bit errors.
-    pub errors: BitErrors,
-    /// Wall-clock (simulated) duration of the transmission.
-    pub elapsed: Cycles,
-    /// Achieved rate in kilobytes per second at the machine's clock.
-    pub kbps: f64,
-    /// The trojan's per-`1` active sending cost (≈ 9000 cycles, §5.4).
-    pub one_costs: Vec<Cycles>,
-}
-
-impl TransmitOutcome {
-    /// Bit error rate in `[0, 1]`.
-    #[must_use]
-    pub fn error_rate(&self) -> f64 {
-        self.errors.rate()
-    }
 }
 
 /// The result of one self-healing transmission ([`Session::transmit_robust`]).
@@ -134,7 +105,7 @@ fn handle(setup: &mut AttackSetup, tenant: Tenant) -> CoreHandle<'_> {
 /// the prober re-probes. Returns the first candidate that a majority of
 /// re-probes see as a versions miss, i.e. that conflicts with the set;
 /// propagates machine errors.
-pub(crate) fn find_conflicting(
+fn find_conflicting(
     setup: &mut AttackSetup,
     prober: Tenant,
     sweeper: Tenant,
@@ -203,7 +174,9 @@ impl Session {
 
     /// Like [`Self::establish`] with explicit roles — the reverse direction
     /// (`spy` sending, `trojan` receiving) carries the ACKs of the reliable
-    /// transport ([`reliable`](crate::channel::reliable)).
+    /// transport ([`reliable`](crate::channel::reliable)) and establishes
+    /// the Prime+Probe baseline
+    /// ([`PrimeProbeSession`](crate::channel::prime_probe::PrimeProbeSession)).
     ///
     /// # Errors
     ///
@@ -287,28 +260,14 @@ impl Session {
         setup: &mut AttackSetup,
         bits: &[bool],
     ) -> Result<TransmitOutcome, ModelError> {
-        self.transmit_with_noise(setup, bits, &mut [])
+        self.transmit_hooked(setup, bits, &mut [], &mut NoopHook)
     }
 
-    /// Like [`Self::transmit`] but with additional noise actors running
-    /// concurrently on other cores (Figure 8's environments).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::transmit`].
-    pub fn transmit_with_noise(
-        &self,
-        setup: &mut AttackSetup,
-        bits: &[bool],
-        noise: &mut [ActorRef<'_>],
-    ) -> Result<TransmitOutcome, ModelError> {
-        self.transmit_hooked(setup, bits, noise, &mut NoopHook)
-    }
-
-    /// Like [`Self::transmit_with_noise`] but with a [`StepHook`] observing
-    /// (and possibly perturbing) the machine before every scheduler step —
-    /// the entry point the fault injector uses. The hook sees global time
-    /// in scheduling order, so a seeded fault plan replays exactly.
+    /// Like [`Self::transmit`] with `noise` actors running concurrently on
+    /// other cores (Figure 8's environments) and a [`StepHook`] observing
+    /// (and possibly perturbing) the machine before scheduler steps — the
+    /// entry point the fault injector uses. The hook sees global time in
+    /// scheduling order, so a seeded fault plan replays exactly.
     ///
     /// # Errors
     ///
@@ -320,68 +279,42 @@ impl Session {
         noise: &mut [ActorRef<'_>],
         hook: &mut dyn StepHook,
     ) -> Result<TransmitOutcome, ModelError> {
-        // Host-time span over the wire transmission; like "establish",
-        // wall-clock only and recorded at the end.
-        let host_start = std::time::Instant::now();
-        // Agree on a start boundary comfortably after both clocks.
         let schedule = Schedule::agree(
             &setup.machine,
             self.receiver.core,
             self.sender.core,
             self.config.window,
         )?;
-
         let sweep = EvictionSweep::new(
             self.eviction_set.clone(),
             bits.to_vec(),
             self.config.strategy,
             self.config.rotate_sweep,
         );
-        let mut trojan = WindowedActor::new(schedule, bits.len(), sweep);
         let timer_classifier = LatencyClassifier {
             bias: setup.machine.config().timing.timer_read,
             ..self.classifier
         };
         let guard = Cycles::new((schedule.window.raw() / 10).clamp(400, 1_200));
         let probe = TimedProbe::new(vec![self.monitor], guard, timer_classifier);
-        // One prime probe, then one probe per data window.
-        let mut spy = WindowedActor::new(schedule, bits.len() + 1, probe);
-
-        let horizon = schedule.horizon(bits.len(), Cycles::new(100_000));
-        setup
-            .machine
-            .trace_phase("transmit_start", bits.len() as u64, schedule.start);
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (self.receiver.core, self.receiver.proc, &mut spy),
-                (self.sender.core, self.sender.proc, &mut trojan),
-            ];
-            for (core, proc, actor) in noise.iter_mut() {
-                actors.push((*core, *proc, &mut **actor));
-            }
-            run_actor_refs_hooked(&mut setup.machine, &mut actors, horizon, hook)?;
-        }
-        let t_end = setup.machine.core_now(self.receiver.core);
-        setup
-            .machine
-            .trace_phase("transmit_end", bits.len() as u64, t_end);
-
-        setup
-            .machine
-            .obs_mut()
-            .host
-            .record("transmit", host_start.elapsed());
-        let received = spy.action().decoded_bits();
-        let errors = BitErrors::compare(bits, &received);
-        Ok(TransmitOutcome {
-            sent: bits.to_vec(),
-            received,
-            probe_times: spy.action().probe_times().to_vec(),
-            errors,
-            elapsed: schedule.elapsed(bits.len()),
-            kbps: schedule.kbps(&setup.machine, bits.len(), bits.len()),
-            one_costs: trojan.action().one_costs().to_vec(),
-        })
+        let (probe, sweep) = run_windows(
+            &mut setup.machine,
+            schedule,
+            bits.len(),
+            (self.receiver.core, self.receiver.proc, probe),
+            (self.sender.core, self.sender.proc, sweep),
+            noise,
+            hook,
+        )?;
+        Ok(TransmitOutcome::new(
+            &setup.machine,
+            schedule,
+            bits.len(),
+            bits,
+            probe.decoded_bits(),
+            probe.probe_times(),
+            sweep.one_costs(),
+        ))
     }
 
     /// Extra all-zero tail windows appended to a robust frame so a late

@@ -14,14 +14,13 @@
 //! share one setup. The [`wide` experiment](crate::experiments::wide)
 //! quantifies the trade-off.
 
-use mee_machine::{run_actor_refs, ActorRef, CoreHandle};
+use mee_machine::{CoreHandle, NoopHook};
 use mee_types::{Cycles, ModelError, VirtAddr};
 
 use crate::channel::config::ChannelConfig;
-use crate::channel::message::BitErrors;
 use crate::channel::session::Session;
 use crate::channel::spy::TimedProbe;
-use crate::channel::windowed::{Flow, Schedule, Slot, WindowAction, WindowedActor};
+use crate::channel::windowed::{run_windows, Flow, Schedule, Slot, TransmitOutcome, WindowAction};
 use crate::setup::AttackSetup;
 use crate::threshold::LatencyClassifier;
 
@@ -44,19 +43,6 @@ pub struct WideSession {
     /// Window per symbol.
     pub window: Cycles,
     classifier: LatencyClassifier,
-}
-
-/// Outcome of a wide transmission.
-#[derive(Debug, Clone)]
-pub struct WideOutcome {
-    /// Bits sent (flattened symbols, lane-major within each window).
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Positional errors over the flattened stream.
-    pub errors: BitErrors,
-    /// Effective rate in KBps.
-    pub kbps: f64,
 }
 
 impl WideSession {
@@ -113,7 +99,7 @@ impl WideSession {
         &self,
         setup: &mut AttackSetup,
         bits: &[bool],
-    ) -> Result<WideOutcome, ModelError> {
+    ) -> Result<TransmitOutcome, ModelError> {
         let lanes = self.lanes.len();
         let symbols = bits.len().div_ceil(lanes);
         let mut padded = bits.to_vec();
@@ -126,36 +112,38 @@ impl WideSession {
             self.window,
         )?;
         let lane_sets = self.lanes.iter().map(|l| l.eviction_set.clone()).collect();
-        let mut trojan = WindowedActor::new(schedule, symbols, LaneSweep::new(lane_sets, padded));
         let timer_classifier = LatencyClassifier {
             bias: setup.machine.config().timing.timer_read,
             ..self.classifier
         };
         let guard = Cycles::new((lanes as u64 * 800 + 400).min(self.window.raw() / 2));
         let monitors = self.lanes.iter().map(|l| l.monitor).collect();
-        let mut spy = WindowedActor::new(
+        let (probe, _) = run_windows(
+            &mut setup.machine,
             schedule,
-            symbols + 1,
-            TimedProbe::new(monitors, guard, timer_classifier),
-        );
-        {
-            let mut actors: Vec<ActorRef<'_>> = vec![
-                (setup.spy.core, setup.spy.proc, &mut spy),
-                (setup.trojan.core, setup.trojan.proc, &mut trojan),
-            ];
-            let horizon = schedule.horizon(symbols, Cycles::new(200_000));
-            run_actor_refs(&mut setup.machine, &mut actors, horizon)?;
-        }
-        let mut received = spy.action().decoded_bits();
-        received.truncate(bits.len());
-        let errors = BitErrors::compare(bits, &received);
-        let kbps = schedule.kbps(&setup.machine, bits.len(), symbols);
-        Ok(WideOutcome {
-            sent: bits.to_vec(),
-            received,
-            errors,
-            kbps,
-        })
+            symbols,
+            (
+                setup.spy.core,
+                setup.spy.proc,
+                TimedProbe::new(monitors, guard, timer_classifier),
+            ),
+            (
+                setup.trojan.core,
+                setup.trojan.proc,
+                LaneSweep::new(lane_sets, padded),
+            ),
+            &mut [],
+            &mut NoopHook,
+        )?;
+        Ok(TransmitOutcome::new(
+            &setup.machine,
+            schedule,
+            symbols,
+            bits,
+            probe.decoded_bits(),
+            probe.probe_times(),
+            &[],
+        ))
     }
 }
 

@@ -6,9 +6,18 @@
 //! one party does inside a window. The driver never splits or merges an
 //! action's steps, and a fault hook runs between steps, so each action's
 //! step layout is part of its behaviour.
+//!
+//! [`run_windows`] is the one transmission path: every channel hands it a
+//! spy and a trojan action and builds its [`TransmitOutcome`] from what the
+//! two actions recorded.
 
-use mee_machine::{Actor, CoreHandle, CoreId, Machine, StepOutcome};
+use mee_machine::{
+    run_actor_refs_hooked, Actor, ActorRef, CoreHandle, CoreId, Machine, ProcId, StepHook,
+    StepOutcome,
+};
 use mee_types::{Cycles, ModelError};
+
+use crate::channel::message::BitErrors;
 
 /// The agreed timing of one transmission: window `i` spans
 /// `[start + i·window, start + (i+1)·window)`.
@@ -176,6 +185,113 @@ impl<A: WindowAction> Actor for WindowedActor<A> {
             Flow::Next => State::Act(i + 1, 0),
         };
         Ok(StepOutcome::Running)
+    }
+}
+
+/// Runs one transmission of `windows` data windows on `schedule`. The spy
+/// is bound first, so it wins clock ties, and runs `windows + 1` windows
+/// (window 0 is its prime probe); the trojan runs `windows`. Each party is
+/// `(core, process, action)`; `noise` actors run alongside on other cores,
+/// and `hook` sees the machine before scheduler steps, as in
+/// [`run_actor_refs_hooked`]. Emits the `transmit_start` and `transmit_end`
+/// phase markers, records the `transmit` host span, and returns the spy's
+/// and the trojan's actions with whatever they recorded.
+///
+/// # Errors
+///
+/// Propagates machine errors and errors raised by the hook.
+pub(crate) fn run_windows<S, T>(
+    machine: &mut Machine,
+    schedule: Schedule,
+    windows: usize,
+    spy: (CoreId, ProcId, S),
+    trojan: (CoreId, ProcId, T),
+    noise: &mut [ActorRef<'_>],
+    hook: &mut dyn StepHook,
+) -> Result<(S, T), ModelError>
+where
+    S: WindowAction + 'static,
+    T: WindowAction + 'static,
+{
+    // Host-time span over the run; wall-clock only and recorded at the
+    // end, so the simulated transcript is untouched.
+    let host_start = std::time::Instant::now();
+    let mut spy_actor = WindowedActor::new(schedule, windows + 1, spy.2);
+    let mut trojan_actor = WindowedActor::new(schedule, windows, trojan.2);
+    machine.trace_phase("transmit_start", windows as u64, schedule.start);
+    {
+        let mut actors: Vec<ActorRef<'_>> = vec![
+            (spy.0, spy.1, &mut spy_actor),
+            (trojan.0, trojan.1, &mut trojan_actor),
+        ];
+        for (core, proc, actor) in noise.iter_mut() {
+            actors.push((*core, *proc, &mut **actor));
+        }
+        let horizon = schedule.horizon(windows, Cycles::new(100_000));
+        run_actor_refs_hooked(machine, &mut actors, horizon, hook)?;
+    }
+    let t_end = machine.core_now(spy.0);
+    machine.trace_phase("transmit_end", windows as u64, t_end);
+    machine
+        .obs_mut()
+        .host
+        .record("transmit", host_start.elapsed());
+    Ok((spy_actor.action, trojan_actor.action))
+}
+
+/// The result of one transmission, whichever channel carried it.
+#[derive(Debug, Clone)]
+#[must_use = "a transmission outcome carries the decoded bits and error statistics"]
+pub struct TransmitOutcome {
+    /// What the trojan sent.
+    pub sent: Vec<bool>,
+    /// What the spy decoded.
+    pub received: Vec<bool>,
+    /// The spy's probe durations, one per monitored address per window;
+    /// the first window is the prime probe. For the paper's channel these
+    /// are de-biased single-line probes (the y-axis of Figures 6(b) and
+    /// 8), for the Prime+Probe baselines raw whole-set sweeps (Figure 6(a)).
+    pub probe_times: Vec<Cycles>,
+    /// Positional bit errors.
+    pub errors: BitErrors,
+    /// Wall-clock (simulated) duration of the transmission.
+    pub elapsed: Cycles,
+    /// Achieved rate in kilobytes per second at the machine's clock.
+    pub kbps: f64,
+    /// The trojan's per-`1` active sending cost (≈ 9000 cycles, §5.4);
+    /// empty for the trojans that do not record it.
+    pub one_costs: Vec<Cycles>,
+}
+
+impl TransmitOutcome {
+    /// The outcome of sending `sent` over `windows` windows of `schedule`:
+    /// the spy decoded `received` (cut to `sent`'s length) from
+    /// `probe_times`, and the trojan recorded `one_costs`.
+    pub(crate) fn new(
+        machine: &Machine,
+        schedule: Schedule,
+        windows: usize,
+        sent: &[bool],
+        mut received: Vec<bool>,
+        probe_times: &[Cycles],
+        one_costs: &[Cycles],
+    ) -> Self {
+        received.truncate(sent.len());
+        TransmitOutcome {
+            sent: sent.to_vec(),
+            errors: BitErrors::compare(sent, &received),
+            received,
+            probe_times: probe_times.to_vec(),
+            elapsed: schedule.elapsed(windows),
+            kbps: schedule.kbps(machine, sent.len(), windows),
+            one_costs: one_costs.to_vec(),
+        }
+    }
+
+    /// Bit error rate in `[0, 1]`.
+    #[must_use]
+    pub fn error_rate(&self) -> f64 {
+        self.errors.rate()
     }
 }
 

@@ -4,23 +4,20 @@
 //! The paper's quantitative claims are statistical: the Fig. 5 latency
 //! histogram, the Fig. 6 BER contrast, and the §5.4 headline numbers all
 //! pool many independent sessions. A [`SweepPlan`] names such a pool — a
-//! root seed, a session count, and an optional thread override — and the
-//! drivers here run one full experiment per session with the per-session
-//! seed split from the root via [`mee_sweep::session_seeds`]. Results come
-//! back in session order and are **bit-identical to serial execution** for
-//! any thread count, so a sweep can be reproduced one session at a time:
-//! session `i` of root seed `r` is exactly `run_*` with seed
-//! `stream_seed(r, i)`.
+//! root seed, a session count, and an optional thread override — and its
+//! [`runner`](SweepPlan::runner) runs one full experiment per session with
+//! the per-session seed split from the root via
+//! [`mee_sweep::session_seeds`]; [`run_channel_sweep`] does so for the
+//! channel. Results come back in session order and are **bit-identical to
+//! serial execution** for any thread count, so a sweep can be reproduced
+//! one session at a time: session `i` of root seed `r` is exactly the
+//! experiment at seed `stream_seed(r, i)`.
 
-use mee_sweep::{SessionSpec, Sweep};
+use mee_sweep::{percentile, SessionSpec, Sweep};
 use mee_types::{Cycles, ModelError};
 
 use crate::channel::{random_bits, ChannelConfig, Session};
-use crate::recon::latency::LatencyCensus;
 use crate::setup::AttackSetup;
-
-use super::fig5::{run_fig5, Fig5Result};
-use super::fig6::{run_fig6_with, Fig6Result};
 
 /// A pooled multi-session run: root seed, session count, thread override.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,12 +88,6 @@ impl ChannelSweepPoint {
     }
 }
 
-fn percentile_cycles(sorted: &[u64], p: f64) -> Cycles {
-    debug_assert!(!sorted.is_empty());
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    Cycles::new(sorted[rank.min(sorted.len() - 1)])
-}
-
 /// Runs `plan.sessions` independent end-to-end channel sessions (noisy
 /// machine, establish + transmit of `bits` seed-derived random bits each)
 /// and returns one [`ChannelSweepPoint`] per session, in session order.
@@ -124,116 +115,10 @@ pub fn run_channel_sweep(
                 bit_errors: out.errors.count(),
                 kbps: out.kbps,
                 elapsed: out.elapsed,
-                probe_p50: percentile_cycles(&probes, 50.0),
-                probe_p95: percentile_cycles(&probes, 95.0),
+                probe_p50: Cycles::new(percentile(&probes, 50.0)),
+                probe_p95: Cycles::new(percentile(&probes, 95.0)),
             })
         })
-}
-
-/// Pooled error counts of a Fig. 6 sweep: both panels over every session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PooledContrast {
-    /// Total bits sent per panel across the sweep.
-    pub total_bits: usize,
-    /// Pooled bit errors of the Prime+Probe baseline (panel a).
-    pub prime_probe_errors: usize,
-    /// Pooled bit errors of the paper's channel (panel b).
-    pub this_work_errors: usize,
-}
-
-impl PooledContrast {
-    /// Pooled BER of the Prime+Probe baseline.
-    pub fn prime_probe_rate(&self) -> f64 {
-        self.prime_probe_errors as f64 / self.total_bits as f64
-    }
-
-    /// Pooled BER of the paper's channel.
-    pub fn this_work_rate(&self) -> f64 {
-        self.this_work_errors as f64 / self.total_bits as f64
-    }
-}
-
-/// A Fig. 6 seed sweep: one full two-panel run per session.
-#[derive(Debug, Clone)]
-pub struct Fig6Sweep {
-    /// Per-session spec and result, in session order.
-    pub sessions: Vec<(SessionSpec, Fig6Result)>,
-}
-
-impl Fig6Sweep {
-    /// Pools both panels' error counts across every session.
-    pub fn pooled(&self) -> PooledContrast {
-        let mut pooled = PooledContrast {
-            total_bits: 0,
-            prime_probe_errors: 0,
-            this_work_errors: 0,
-        };
-        for (_, r) in &self.sessions {
-            pooled.total_bits += r.this_work.sent.len();
-            pooled.prime_probe_errors += r.prime_probe.errors.count();
-            pooled.this_work_errors += r.this_work.errors.count();
-        }
-        pooled
-    }
-}
-
-/// Runs [`run_fig6_with`] once per session of `plan`, sending `bits`
-/// alternating bits per panel.
-///
-/// # Errors
-///
-/// Returns the lowest-indexed failing session's error, deterministically.
-pub fn run_fig6_sweep(
-    plan: &SweepPlan,
-    bits: usize,
-    cfg: &ChannelConfig,
-) -> Result<Fig6Sweep, ModelError> {
-    let sessions = plan
-        .runner()
-        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
-            run_fig6_with(spec.seed, bits, cfg).map(|r| (spec, r))
-        })?;
-    Ok(Fig6Sweep { sessions })
-}
-
-/// A Fig. 5 seed sweep: one full latency census per session.
-#[derive(Debug, Clone)]
-pub struct Fig5Sweep {
-    /// Per-session spec and result, in session order.
-    pub sessions: Vec<(SessionSpec, Fig5Result)>,
-}
-
-impl Fig5Sweep {
-    /// Pools every sample of every session into one census.
-    pub fn pooled(&self) -> LatencyCensus {
-        LatencyCensus {
-            stride: 0,
-            samples: self
-                .sessions
-                .iter()
-                .flat_map(|(_, r)| r.pooled().samples)
-                .collect(),
-        }
-    }
-}
-
-/// Runs [`run_fig5`] once per session of `plan` (`samples` addresses per
-/// stride, `passes` timed passes).
-///
-/// # Errors
-///
-/// Returns the lowest-indexed failing session's error, deterministically.
-pub fn run_fig5_sweep(
-    plan: &SweepPlan,
-    samples: usize,
-    passes: usize,
-) -> Result<Fig5Sweep, ModelError> {
-    let sessions = plan
-        .runner()
-        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
-            run_fig5(spec.seed, samples, passes).map(|r| (spec, r))
-        })?;
-    Ok(Fig5Sweep { sessions })
 }
 
 #[cfg(test)]
@@ -273,16 +158,5 @@ mod tests {
         .unwrap()[2]
             .clone();
         assert_eq!(alone.seed, spec.seed);
-    }
-
-    #[test]
-    fn pooled_contrast_arithmetic() {
-        let pooled = PooledContrast {
-            total_bits: 200,
-            prime_probe_errors: 50,
-            this_work_errors: 4,
-        };
-        assert!((pooled.prime_probe_rate() - 0.25).abs() < 1e-12);
-        assert!((pooled.this_work_rate() - 0.02).abs() < 1e-12);
     }
 }

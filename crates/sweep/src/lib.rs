@@ -147,6 +147,20 @@ pub fn session_seeds(root: u64, n: usize) -> Vec<SessionSpec> {
     (0..n).map(|index| SessionSpec::new(root, index)).collect()
 }
 
+/// The nearest-rank `p`-th percentile (`0 ≤ p ≤ 100`) of an
+/// ascending-sorted slice: the element at index `round(p / 100 · (n − 1))`,
+/// halves rounded up. Sweeps and campaigns report their per-session
+/// percentiles through it.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    assert!(!sorted.is_empty(), "percentile of no samples");
+    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 /// A parallel sweep runner: how many worker threads drain the session
 /// queue.
 ///
@@ -381,6 +395,23 @@ mod tests {
             let parallel = Sweep::with_threads(threads).seed_sweep(2019, 64, chew);
             assert_eq!(serial, parallel, "{threads} threads diverged from serial");
         }
+    }
+
+    #[test]
+    fn percentile_rounds_the_rank_to_the_nearest_index() {
+        let xs: Vec<u64> = (0..10).collect();
+        // Rank p/100 · 9: 50 → 4.5 rounds half away from zero to 5;
+        // 95 → 8.55 → 9; 44 → 3.96 → 4; 5 → 0.45 → 0.
+        assert_eq!(percentile(&xs, 50.0), 5);
+        assert_eq!(percentile(&xs, 95.0), 9);
+        assert_eq!(percentile(&xs, 44.0), 4);
+        assert_eq!(percentile(&xs, 5.0), 0);
+        assert_eq!(percentile(&xs, 0.0), 0);
+        assert_eq!(percentile(&xs, 100.0), 9);
+        // Four sessions: p50 is rank 1.5 → index 2, p95 rank 2.85 → 3.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 3.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 95.0), 4.0);
+        assert_eq!(percentile(&[7u64], 95.0), 7);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mee_covert::attack::channel::{paper_100_pattern, ChannelConfig, Session};
 use mee_covert::attack::noise::{MeeNoiseActor, MemStressActor};
-use mee_covert::machine::{ActorRef, CoreId};
+use mee_covert::machine::{ActorRef, CoreId, NoopHook};
 use mee_covert::types::ModelError;
 
 fn main() -> Result<(), ModelError> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), ModelError> {
         let session = Session::establish(&mut setup, &ChannelConfig::default())?;
         let (proc, mut actor) = MemStressActor::install_on(&mut setup, 512)?;
         let mut noise: Vec<ActorRef<'_>> = vec![(noise_core, proc, &mut actor)];
-        let out = session.transmit_with_noise(&mut setup, &bits, &mut noise)?;
+        let out = session.transmit_hooked(&mut setup, &bits, &mut noise, &mut NoopHook)?;
         println!(
             "LLC/DRAM stress  : {:>2} errors in 128 bits ({:.1}%)",
             out.errors.count(),
@@ -37,7 +37,7 @@ fn main() -> Result<(), ModelError> {
         let session = Session::establish(&mut setup, &ChannelConfig::default())?;
         let (proc, mut actor) = MeeNoiseActor::install_on(&mut setup, stride, pages)?;
         let mut noise: Vec<ActorRef<'_>> = vec![(noise_core, proc, &mut actor)];
-        let out = session.transmit_with_noise(&mut setup, &bits, &mut noise)?;
+        let out = session.transmit_hooked(&mut setup, &bits, &mut noise, &mut NoopHook)?;
         println!(
             "{label}: {:>2} errors in 128 bits ({:.1}%) at positions {:?}",
             out.errors.count(),

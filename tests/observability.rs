@@ -120,3 +120,75 @@ fn disable_tracing_stops_recording() {
     assert!(setup.machine.obs().events().is_empty());
     assert!(setup.machine.obs().metrics.is_none());
 }
+
+/// Every channel transmits through the one windowed runner, so each marks
+/// its transmission exactly once with the `transmit_start` /
+/// `transmit_end` phases, decodes one bit per sent bit, and reports the
+/// agreed windows plus the prime window as its elapsed time.
+#[test]
+fn every_channel_marks_its_transmission() {
+    use mee_covert::attack::channel::llc::LlcSession;
+    use mee_covert::attack::channel::prime_probe::PrimeProbeSession;
+    use mee_covert::attack::channel::{alternating_bits, TransmitOutcome, WideSession};
+
+    fn check(
+        label: &str,
+        setup: &AttackSetup,
+        bits: &[bool],
+        out: &TransmitOutcome,
+        window: Cycles,
+        windows: usize,
+    ) {
+        let phases = |wanted: &str| {
+            setup
+                .machine
+                .obs()
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Phase { name, .. } if name == wanted))
+                .count()
+        };
+        assert_eq!(
+            phases("transmit_start"),
+            1,
+            "{label}: transmit_start phases"
+        );
+        assert_eq!(phases("transmit_end"), 1, "{label}: transmit_end phases");
+        assert_eq!(out.received.len(), bits.len(), "{label}: decoded bit count");
+        assert_eq!(
+            out.elapsed,
+            window * (windows as u64 + 1),
+            "{label}: elapsed"
+        );
+    }
+
+    let seed = testbed::SEED;
+    let cfg = ChannelConfig::sweep_setup();
+    let bits = alternating_bits(15);
+    let traced = || {
+        let mut setup = AttackSetup::new(seed).unwrap();
+        setup.machine.enable_tracing(1 << 20);
+        setup
+    };
+
+    let mut setup = traced();
+    let session = Session::establish(&mut setup, &cfg).unwrap();
+    let out = session.transmit(&mut setup, &bits).unwrap();
+    check("session", &setup, &bits, &out, cfg.window, bits.len());
+
+    let mut setup = traced();
+    let pp = PrimeProbeSession::establish(&mut setup, &cfg).unwrap();
+    let out = pp.transmit(&mut setup, &bits).unwrap();
+    check("prime_probe", &setup, &bits, &out, cfg.window, bits.len());
+
+    let mut setup = traced();
+    let llc = LlcSession::establish(&mut setup, Cycles::new(4_000)).unwrap();
+    let out = llc.transmit(&mut setup, &bits).unwrap();
+    check("llc", &setup, &bits, &out, llc.window, bits.len());
+
+    // Two lanes carry the 15 bits as 8 symbols, the last one padded.
+    let mut setup = traced();
+    let wide = WideSession::establish(&mut setup, &cfg, 2).unwrap();
+    let out = wide.transmit(&mut setup, &bits).unwrap();
+    check("wide", &setup, &bits, &out, wide.window, 8);
+}
