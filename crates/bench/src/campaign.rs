@@ -81,7 +81,10 @@ impl CampaignReport {
     pub fn emit(&self) -> &Self {
         print!("{}", self.outcome.log.render());
         if !self.outcome.resumed.is_empty() {
-            println!("resumed {} shard(s) from checkpoints", self.outcome.resumed.len());
+            println!(
+                "resumed {} shard(s) from checkpoints",
+                self.outcome.resumed.len()
+            );
         }
         for (span, stats) in self.outcome.host.spans() {
             println!(

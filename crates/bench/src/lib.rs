@@ -206,25 +206,48 @@ mod tests {
     #[test]
     fn parses_seed_and_scale() {
         let a = HarnessArgs::parse(vec!["7".into(), "3".into()]).unwrap();
-        assert_eq!(a, HarnessArgs { seed: 7, scale: 3, ..HarnessArgs::default() });
+        assert_eq!(
+            a,
+            HarnessArgs {
+                seed: 7,
+                scale: 3,
+                ..HarnessArgs::default()
+            }
+        );
     }
 
     #[test]
     fn seed_alone_is_accepted() {
         let a = HarnessArgs::parse(vec!["99".into()]).unwrap();
-        assert_eq!(a, HarnessArgs { seed: 99, ..HarnessArgs::default() });
+        assert_eq!(
+            a,
+            HarnessArgs {
+                seed: 99,
+                ..HarnessArgs::default()
+            }
+        );
     }
 
     #[test]
     fn threads_flag_parses_anywhere() {
         let a = HarnessArgs::parse(vec!["--threads".into(), "4".into()]).unwrap();
-        assert_eq!(a, HarnessArgs { threads: Some(4), ..HarnessArgs::default() });
-        let b =
-            HarnessArgs::parse(vec!["7".into(), "--threads".into(), "2".into(), "3".into()])
-                .unwrap();
+        assert_eq!(
+            a,
+            HarnessArgs {
+                threads: Some(4),
+                ..HarnessArgs::default()
+            }
+        );
+        let b = HarnessArgs::parse(vec!["7".into(), "--threads".into(), "2".into(), "3".into()])
+            .unwrap();
         assert_eq!(
             b,
-            HarnessArgs { seed: 7, scale: 3, threads: Some(2), ..HarnessArgs::default() }
+            HarnessArgs {
+                seed: 7,
+                scale: 3,
+                threads: Some(2),
+                ..HarnessArgs::default()
+            }
         );
     }
 
@@ -232,9 +255,15 @@ mod tests {
     fn out_flag_parses_and_defaults() {
         let a = HarnessArgs::parse(vec!["--out".into(), "/tmp/x.json".into()]).unwrap();
         assert_eq!(a.out.as_deref(), Some(std::path::Path::new("/tmp/x.json")));
-        assert_eq!(a.out_or("BENCH_x.json"), std::path::PathBuf::from("/tmp/x.json"));
+        assert_eq!(
+            a.out_or("BENCH_x.json"),
+            std::path::PathBuf::from("/tmp/x.json")
+        );
         let b = HarnessArgs::default();
-        assert_eq!(b.out_or("BENCH_x.json"), std::path::PathBuf::from("BENCH_x.json"));
+        assert_eq!(
+            b.out_or("BENCH_x.json"),
+            std::path::PathBuf::from("BENCH_x.json")
+        );
     }
 
     #[test]
@@ -264,7 +293,11 @@ mod tests {
 
     #[test]
     fn threads_flag_rejects_garbage() {
-        for bad in [vec!["--threads".into()], vec!["--threads".into(), "zero".into()], vec!["--threads".into(), "0".into()]] {
+        for bad in [
+            vec!["--threads".into()],
+            vec!["--threads".into(), "zero".into()],
+            vec!["--threads".into(), "0".into()],
+        ] {
             let e = HarnessArgs::parse(bad).unwrap_err();
             assert_eq!(e.arg, "threads");
         }

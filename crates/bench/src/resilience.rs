@@ -208,7 +208,11 @@ mod tests {
     #[test]
     fn aggregate_pools_per_intensity() {
         let r = report();
-        assert!((r.degradation_x() - 7.0).abs() < 1e-9, "{}", r.degradation_x());
+        assert!(
+            (r.degradation_x() - 7.0).abs() < 1e-9,
+            "{}",
+            r.degradation_x()
+        );
         assert_eq!(r.residual_worst(), 0.0);
         let json = r.aggregate_json();
         for key in [

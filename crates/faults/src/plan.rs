@@ -361,7 +361,13 @@ impl FaultPlan {
         root_seed: u64,
         session: u64,
     ) -> FaultPlan {
-        FaultPlan::generate(intensity, targets, start, span, stream_seed(root_seed, session))
+        FaultPlan::generate(
+            intensity,
+            targets,
+            start,
+            span,
+            stream_seed(root_seed, session),
+        )
     }
 }
 

@@ -139,10 +139,7 @@ impl FrameAllocator {
             self.region.contains(ppn.base()),
             "{ppn} is outside the allocator's region"
         );
-        assert!(
-            !self.free.contains(&ppn),
-            "double free of {ppn}"
-        );
+        assert!(!self.free.contains(&ppn), "double free of {ppn}");
         self.free.push(ppn);
         // Randomized policy: scatter the recycled frame into the free list
         // so reuse order is as unpredictable as initial placement.

@@ -16,8 +16,15 @@ impl Region {
     ///
     /// Panics if `base` or `size` is not page-aligned.
     pub fn new(base: PhysAddr, size: u64) -> Self {
-        assert!(base.is_aligned(PAGE_SIZE), "region base must be page-aligned");
-        assert_eq!(size % PAGE_SIZE as u64, 0, "region size must be page-aligned");
+        assert!(
+            base.is_aligned(PAGE_SIZE),
+            "region base must be page-aligned"
+        );
+        assert_eq!(
+            size % PAGE_SIZE as u64,
+            0,
+            "region size must be page-aligned"
+        );
         Region { base, size }
     }
 
@@ -90,14 +97,16 @@ impl PhysLayout {
         if general_bytes == 0 || prm_bytes == 0 {
             return fail("memory region sizes must be non-zero".into());
         }
-        if !general_bytes.is_multiple_of(PAGE_SIZE as u64) || !prm_bytes.is_multiple_of(PAGE_SIZE as u64) {
+        if !general_bytes.is_multiple_of(PAGE_SIZE as u64)
+            || !prm_bytes.is_multiple_of(PAGE_SIZE as u64)
+        {
             return fail("memory region sizes must be page-aligned".into());
         }
 
         // Per-page integrity overhead in bytes (see type-level doc).
         let versions_and_tags = 2 * VERSION_BLOCKS_PER_PAGE as u64 * LINE_SIZE as u64; // 1 KiB
         let l0 = LINE_SIZE as u64; // one L0 line per page
-        // L1/L2 shares are fractional; compute the split in whole pages.
+                                   // L1/L2 shares are fractional; compute the split in whole pages.
         let data_pages = {
             // Solve data_pages such that total fits, walking down from the
             // upper bound given by the dominant per-page overhead.
@@ -239,10 +248,7 @@ mod tests {
     #[test]
     fn classify_covers_all_regions() {
         let l = PhysLayout::new(1 << 20, 4 << 20).unwrap();
-        assert_eq!(
-            l.classify(PhysAddr::new(0)).unwrap(),
-            RegionKind::General
-        );
+        assert_eq!(l.classify(PhysAddr::new(0)).unwrap(), RegionKind::General);
         assert_eq!(
             l.classify(l.prm_tree().base()).unwrap(),
             RegionKind::IntegrityTree

@@ -107,7 +107,9 @@ mod tests {
     fn map_translate_roundtrip() {
         let mut s = AddressSpace::new(AddressSpaceKind::Enclave);
         s.map_page(Vpn::new(0x100), Ppn::new(0x55)).unwrap();
-        let pa = s.translate(VirtAddr::new(0x100 * PAGE_SIZE as u64 + 0xabc)).unwrap();
+        let pa = s
+            .translate(VirtAddr::new(0x100 * PAGE_SIZE as u64 + 0xabc))
+            .unwrap();
         assert_eq!(pa, PhysAddr::new(0x55 * PAGE_SIZE as u64 + 0xabc));
         assert_eq!(s.mapped_pages(), 1);
         assert_eq!(s.mapped_bytes(), PAGE_SIZE as u64);

@@ -91,7 +91,10 @@ impl fmt::Display for ShardEvent {
                 write!(f, "failed attempt={attempt}: {message}")
             }
             ShardEvent::TimedOut { attempt } => write!(f, "timed-out attempt={attempt}"),
-            ShardEvent::Requeued { attempt, backoff_ms } => {
+            ShardEvent::Requeued {
+                attempt,
+                backoff_ms,
+            } => {
                 write!(f, "requeued attempt={attempt} backoff_ms={backoff_ms}")
             }
             ShardEvent::Quarantined { attempts, reason } => {
@@ -163,9 +166,27 @@ mod tests {
         let mut log = CampaignLog::new();
         log.record(2, ShardEvent::Started { attempt: 0 });
         log.record(0, ShardEvent::Started { attempt: 0 });
-        log.record(2, ShardEvent::Completed { attempt: 0, sessions: 4 });
-        log.record(0, ShardEvent::Panicked { attempt: 0, message: "boom".into() });
-        log.record(0, ShardEvent::Requeued { attempt: 1, backoff_ms: 10 });
+        log.record(
+            2,
+            ShardEvent::Completed {
+                attempt: 0,
+                sessions: 4,
+            },
+        );
+        log.record(
+            0,
+            ShardEvent::Panicked {
+                attempt: 0,
+                message: "boom".into(),
+            },
+        );
+        log.record(
+            0,
+            ShardEvent::Requeued {
+                attempt: 1,
+                backoff_ms: 10,
+            },
+        );
         let rendered = log.render();
         let expected = "shard 0: started attempt=0\n\
                         shard 0: panicked attempt=0: boom\n\
@@ -179,7 +200,13 @@ mod tests {
     fn count_and_shard_accessors() {
         let mut log = CampaignLog::new();
         log.record(1, ShardEvent::TimedOut { attempt: 0 });
-        log.record(1, ShardEvent::Quarantined { attempts: 2, reason: "hung".into() });
+        log.record(
+            1,
+            ShardEvent::Quarantined {
+                attempts: 2,
+                reason: "hung".into(),
+            },
+        );
         assert_eq!(log.count(|e| matches!(e, ShardEvent::TimedOut { .. })), 1);
         assert_eq!(log.shard(1).len(), 2);
         assert!(log.shard(0).is_empty());
@@ -190,7 +217,10 @@ mod tests {
         let events = [
             ShardEvent::Checkpointed,
             ShardEvent::Resumed,
-            ShardEvent::Failed { attempt: 3, message: "no such process".into() },
+            ShardEvent::Failed {
+                attempt: 3,
+                message: "no such process".into(),
+            },
         ];
         for e in &events {
             assert!(!e.to_string().contains('\n'));

@@ -235,12 +235,12 @@ impl Event {
                  \"line\":{line},\"hit\":{hit}}}",
                 level.label()
             ),
-            EventKind::MeeEvict { line } => format!(
-                "{{\"at\":{at},\"cat\":\"tree\",\"ev\":\"mee_evict\",\"line\":{line}}}"
-            ),
-            EventKind::LlcEvict { line } => format!(
-                "{{\"at\":{at},\"cat\":\"memory\",\"ev\":\"llc_evict\",\"line\":{line}}}"
-            ),
+            EventKind::MeeEvict { line } => {
+                format!("{{\"at\":{at},\"cat\":\"tree\",\"ev\":\"mee_evict\",\"line\":{line}}}")
+            }
+            EventKind::LlcEvict { line } => {
+                format!("{{\"at\":{at},\"cat\":\"memory\",\"ev\":\"llc_evict\",\"line\":{line}}}")
+            }
             EventKind::Fault { kind, arg } => format!(
                 "{{\"at\":{at},\"cat\":\"fault\",\"ev\":\"fault\",\"kind\":\"{kind}\",\
                  \"arg\":{arg}}}"

@@ -228,14 +228,7 @@ mod tests {
     #[test]
     fn chrome_trace_embeds_metrics_and_profile() {
         let mut metrics = MetricsRegistry::new(1, 2);
-        metrics.record_mem_op(
-            0,
-            0,
-            MemOpKind::Read,
-            Some(ServedAt::L1),
-            None,
-            4,
-        );
+        metrics.record_mem_op(0, 0, MemOpKind::Read, Some(ServedAt::L1), None, 4);
         let mut host = HostProfile::new();
         host.record("decode", std::time::Duration::from_nanos(5));
         let opts = ChromeTraceOptions {

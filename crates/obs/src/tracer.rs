@@ -197,7 +197,11 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(args, vec![2, 3, 4], "oldest events must be the ones dropped");
+        assert_eq!(
+            args,
+            vec![2, 3, 4],
+            "oldest events must be the ones dropped"
+        );
         // Timestamps come back oldest-first.
         let ats: Vec<u64> = r.events().iter().map(|e| e.at.raw()).collect();
         assert_eq!(ats, vec![2, 3, 4]);

@@ -134,7 +134,14 @@ mod tests {
 
     #[test]
     fn rejects_zero_garbage_and_overflow() {
-        for bad in ["0", "-2", "many", "", "4.5", "999999999999999999999999999999"] {
+        for bad in [
+            "0",
+            "-2",
+            "many",
+            "",
+            "4.5",
+            "999999999999999999999999999999",
+        ] {
             let err = parse_positive::<usize>("MEE_TEST_KNOB", bad).unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("MEE_TEST_KNOB"), "no var name in: {msg}");

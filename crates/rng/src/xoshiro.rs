@@ -66,7 +66,10 @@ impl Rng {
     /// Panics if all four words are zero — the all-zero state is the one
     /// fixed point of xoshiro256\*\* and would emit zeros forever.
     pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256** state must be non-zero");
+        assert!(
+            s.iter().any(|&w| w != 0),
+            "xoshiro256** state must be non-zero"
+        );
         Rng { s }
     }
 

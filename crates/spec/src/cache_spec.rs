@@ -215,7 +215,8 @@ pub fn parse_cache_ops(trace: &str) -> Result<Vec<CacheOp>, String> {
     trace
         .split_whitespace()
         .map(|tok| {
-            let bad = || format!("malformed cache op {tok:?} (expected a<l>, i<l>, or m<mask>:<l>)");
+            let bad =
+                || format!("malformed cache op {tok:?} (expected a<l>, i<l>, or m<mask>:<l>)");
             match tok.as_bytes().first() {
                 Some(b'a') => tok[1..].parse().map(CacheOp::Access).map_err(|_| bad()),
                 Some(b'i') => tok[1..].parse().map(CacheOp::Inval).map_err(|_| bad()),
@@ -300,7 +301,11 @@ pub fn check_plru_matches_lru(sets: usize, ways: usize, ops: &[CacheOp]) -> Resu
 /// # Errors
 ///
 /// Returns the step at which the MRU line was evicted.
-pub fn check_never_evicts_mru(policy_name: &str, ways: usize, ops: &[CacheOp]) -> Result<(), String> {
+pub fn check_never_evicts_mru(
+    policy_name: &str,
+    ways: usize,
+    ops: &[CacheOp],
+) -> Result<(), String> {
     let cfg = CacheConfig {
         sets: 1,
         ways,
@@ -544,10 +549,14 @@ pub fn replay_cache_recipe(config: &str, trace: &str) -> Result<Option<Counterex
     let map = parse_config(config)?;
     let ops = parse_cache_ops(trace)?;
     let result = match require(&map, "mode")? {
-        "equiv" => {
-            check_plru_matches_lru(require_usize(&map, "sets")?, require_usize(&map, "ways")?, &ops)
+        "equiv" => check_plru_matches_lru(
+            require_usize(&map, "sets")?,
+            require_usize(&map, "ways")?,
+            &ops,
+        ),
+        "mru" => {
+            check_never_evicts_mru(require(&map, "policy")?, require_usize(&map, "ways")?, &ops)
         }
-        "mru" => check_never_evicts_mru(require(&map, "policy")?, require_usize(&map, "ways")?, &ops),
         other => return Err(format!("unknown plru-within-lru mode {other:?}")),
     };
     Ok(result.err().map(|detail| Counterexample {
@@ -582,7 +591,10 @@ mod tests {
         let s = fmt_cache_ops(&ops);
         assert_eq!(s, "a2 md:4 i0");
         assert_eq!(parse_cache_ops(&s).unwrap(), ops);
-        assert!(parse_cache_ops("m0:1").is_err(), "empty mask must be rejected");
+        assert!(
+            parse_cache_ops("m0:1").is_err(),
+            "empty mask must be rejected"
+        );
     }
 
     /// The exact trace that exposed the pre-fix Tree-PLRU bug: stale tree
@@ -610,8 +622,7 @@ mod tests {
     fn victim_from_allowed_accepts_all_policies() {
         let ops = parse_policy_ops("f0 f1 h0 i1").unwrap();
         for policy in ALL_POLICIES {
-            check_victim_from_allowed(policy, 4, &ops)
-                .unwrap_or_else(|e| panic!("{policy}: {e}"));
+            check_victim_from_allowed(policy, 4, &ops).unwrap_or_else(|e| panic!("{policy}: {e}"));
         }
     }
 

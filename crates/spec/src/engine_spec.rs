@@ -135,7 +135,12 @@ pub fn parse_engine_ops(trace: &str) -> Result<Vec<EngineOp>, String> {
         .collect()
 }
 
-fn build_mee(geom: Geom, policy: &str, sets: usize, ways: usize) -> Result<(Mee, DramModel), String> {
+fn build_mee(
+    geom: Geom,
+    policy: &str,
+    sets: usize,
+    ways: usize,
+) -> Result<(Mee, DramModel), String> {
     let layout = PhysLayout::new(4096, geom.prm_bytes()).map_err(|e| e.to_string())?;
     let geo = mee_tree::TreeGeometry::new(layout.prm_data(), layout.prm_tree())
         .map_err(|e| e.to_string())?;

@@ -227,8 +227,7 @@ pub fn parse_mach_ops(trace: &str) -> Result<Vec<MachOp>, String> {
     trace
         .split_whitespace()
         .map(|tok| {
-            let bad =
-                || format!("malformed machine op {tok:?} (expected r/w/c<core>.<palette>)");
+            let bad = || format!("malformed machine op {tok:?} (expected r/w/c<core>.<palette>)");
             let (head, rest) = tok.split_at(1);
             let (c, k) = rest.split_once('.').ok_or_else(bad)?;
             let c: usize = c.parse().map_err(|_| bad())?;
@@ -265,8 +264,12 @@ pub fn check_machine_program(
     ops: &[MachOp],
 ) -> Result<(), (&'static str, String)> {
     let build = |m: &str| {
-        build_machine(size, policy)
-            .map_err(|e| ("replay-identity", format!("machine {m} failed to build: {e}")))
+        build_machine(size, policy).map_err(|e| {
+            (
+                "replay-identity",
+                format!("machine {m} failed to build: {e}"),
+            )
+        })
     };
     let (mut ma, procs_a) = build("A")?;
     let (mut mb, procs_b) = build("B")?;
@@ -299,22 +302,33 @@ pub fn check_machine_program(
                     format!("step {i}: clflush perturbed the MEE cache or its stats"),
                 ));
             }
-            let MachOp::Clflush(_, k) = op else { unreachable!() };
+            let MachOp::Clflush(_, k) = op else {
+                unreachable!()
+            };
             let (pi, va) = MACH_PALETTE[*k];
-            let pa = ma
-                .translate(procs_a[pi], VirtAddr::new(va))
-                .map_err(|e| ("replay-identity", format!("step {i}: translate failed: {e}")))?;
+            let pa = ma.translate(procs_a[pi], VirtAddr::new(va)).map_err(|e| {
+                (
+                    "replay-identity",
+                    format!("step {i}: translate failed: {e}"),
+                )
+            })?;
             if ma.line_cached_anywhere(pa.line()) {
                 return Err((
                     "clflush-spares-mee-cache",
-                    format!("step {i}: flushed line {} still cached on-chip", pa.line().raw()),
+                    format!(
+                        "step {i}: flushed line {} still cached on-chip",
+                        pa.line().raw()
+                    ),
                 ));
             }
         }
         if let Some(line) = ma.check_no_tree_lines_on_chip() {
             return Err((
                 "prm-bounds-enforced",
-                format!("step {i}: tree line {} leaked into a data cache", line.raw()),
+                format!(
+                    "step {i}: tree line {} leaked into a data cache",
+                    line.raw()
+                ),
             ));
         }
         if let Some((core, line)) = ma.check_inclusion() {
@@ -436,7 +450,9 @@ pub fn run_fixed_prm_case(name: &str) -> Result<Option<Counterexample>, String> 
             match Machine::new(cfg) {
                 Err(ModelError::InvalidConfig { .. }) => None,
                 Ok(_) => Some("a zero-core machine was accepted".into()),
-                Err(e) => Some(format!("zero-core machine failed with {e}, expected InvalidConfig")),
+                Err(e) => Some(format!(
+                    "zero-core machine failed with {e}, expected InvalidConfig"
+                )),
             }
         }
         "bad-mee-geometry" => {
@@ -445,7 +461,9 @@ pub fn run_fixed_prm_case(name: &str) -> Result<Option<Counterexample>, String> 
             match Machine::new(cfg) {
                 Err(ModelError::InvalidConfig { .. }) => None,
                 Ok(_) => Some("a 3-set MEE cache was accepted".into()),
-                Err(e) => Some(format!("3-set MEE cache failed with {e}, expected InvalidConfig")),
+                Err(e) => Some(format!(
+                    "3-set MEE cache failed with {e}, expected InvalidConfig"
+                )),
             }
         }
         "foreign-core" => {
@@ -503,10 +521,7 @@ fn check_fixed_prm_cases(out: &mut Vec<Counterexample>) {
 /// # Errors
 ///
 /// Returns a message for malformed configs or traces.
-pub fn replay_machine_recipe(
-    config: &str,
-    trace: &str,
-) -> Result<Option<Counterexample>, String> {
+pub fn replay_machine_recipe(config: &str, trace: &str) -> Result<Option<Counterexample>, String> {
     let kv = crate::counterexample::parse_config(config)?;
     if let Some(case) = kv.get("case") {
         return run_fixed_prm_case(case);
@@ -531,7 +546,11 @@ mod tests {
 
     #[test]
     fn mach_ops_round_trip() {
-        let ops = vec![MachOp::Read(0, 1), MachOp::Write(1, 2), MachOp::Clflush(0, 3)];
+        let ops = vec![
+            MachOp::Read(0, 1),
+            MachOp::Write(1, 2),
+            MachOp::Clflush(0, 3),
+        ];
         let s = fmt_mach_ops(&ops);
         assert_eq!(s, "r0.1 w1.2 c0.3");
         assert_eq!(parse_mach_ops(&s).unwrap(), ops);

@@ -498,6 +498,10 @@ mod tests {
         let (mut m, procs) = channel_machine(PolicyKind::TreePlru).unwrap();
         let bad = OracleOp::read(0, 0, 0xdead_0000); // unmapped
         let t = run_trace(&mut m, &procs, &[bad]);
-        assert!(t.records[0].error.as_deref().unwrap().contains("page fault"));
+        assert!(t.records[0]
+            .error
+            .as_deref()
+            .unwrap()
+            .contains("page fault"));
     }
 }

@@ -14,14 +14,12 @@ use mee_rng::prop::{pick, vec_of, PropConfig};
 use mee_rng::{stream_seed, Rng};
 
 use crate::cache_spec::{
-    check_invalidated_preferred, check_plru_matches_lru, check_victim_from_allowed,
-    fmt_cache_ops, fmt_policy_ops, CacheOp, PolicyOp, ALL_POLICIES, DETERMINISTIC_POLICIES,
+    check_invalidated_preferred, check_plru_matches_lru, check_victim_from_allowed, fmt_cache_ops,
+    fmt_policy_ops, CacheOp, PolicyOp, ALL_POLICIES, DETERMINISTIC_POLICIES,
 };
 use crate::counterexample::Counterexample;
 use crate::engine_spec::{check_walk_program, fmt_engine_ops, EngineOp, Geom};
-use crate::machine_spec::{
-    check_machine_program, fmt_mach_ops, MachOp, MachineSize, MACH_PALETTE,
-};
+use crate::machine_spec::{check_machine_program, fmt_mach_ops, MachOp, MachineSize, MACH_PALETTE};
 use crate::tree_spec::{check_tree_program, fmt_tree_ops, TreeOp, PALETTE};
 use mee_machine::PolicyKind;
 

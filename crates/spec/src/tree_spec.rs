@@ -102,8 +102,7 @@ fn ladder_level(l: usize) -> TreeLevel {
 
 fn build_tree() -> Result<(IntegrityTree, Vec<LineAddr>), String> {
     let layout = PhysLayout::new(4096, 8192).map_err(|e| e.to_string())?;
-    let geo =
-        TreeGeometry::new(layout.prm_data(), layout.prm_tree()).map_err(|e| e.to_string())?;
+    let geo = TreeGeometry::new(layout.prm_data(), layout.prm_tree()).map_err(|e| e.to_string())?;
     let base = geo.data_region().base().line();
     let pal = PALETTE
         .iter()
@@ -143,8 +142,10 @@ pub fn check_tree_program(ops: &[TreeOp]) -> Result<(), String> {
             || counter_flips[1..].iter().any(|&f| f % 2 == 1)
     }
     for (i, op) in ops.iter().enumerate() {
-        let tampered =
-            digest_flips.iter().chain(&counter_flips).any(|&f| f % 2 == 1);
+        let tampered = digest_flips
+            .iter()
+            .chain(&counter_flips)
+            .any(|&f| f % 2 == 1);
         match *op {
             TreeOp::Write(k, v) => {
                 index_ok(i, k)?;

@@ -417,16 +417,20 @@ mod tests {
     /// Distinct blocks get distinct version lines (injectivity).
     #[test]
     fn version_lines_injective() {
-        check("version_lines_injective", &PropConfig::from_env(256), |rng| {
-            let g = geo();
-            let n = g.lines_at(TreeLevel::Version);
-            let a = rng.random_range(0u64..4096) % n;
-            let b = rng.random_range(0u64..4096) % n;
-            if a != b {
-                assert_ne!(g.version_line(a), g.version_line(b));
-                assert_ne!(g.pd_tag_line(a), g.pd_tag_line(b));
-            }
-            assert_ne!(g.version_line(a), g.pd_tag_line(b));
-        });
+        check(
+            "version_lines_injective",
+            &PropConfig::from_env(256),
+            |rng| {
+                let g = geo();
+                let n = g.lines_at(TreeLevel::Version);
+                let a = rng.random_range(0u64..4096) % n;
+                let b = rng.random_range(0u64..4096) % n;
+                if a != b {
+                    assert_ne!(g.version_line(a), g.version_line(b));
+                    assert_ne!(g.pd_tag_line(a), g.pd_tag_line(b));
+                }
+                assert_ne!(g.version_line(a), g.pd_tag_line(b));
+            },
+        );
     }
 }

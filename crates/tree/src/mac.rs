@@ -39,10 +39,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(
-            MacTag::compute(1, 2, 3, 4),
-            MacTag::compute(1, 2, 3, 4)
-        );
+        assert_eq!(MacTag::compute(1, 2, 3, 4), MacTag::compute(1, 2, 3, 4));
     }
 
     #[test]
@@ -58,23 +55,31 @@ mod tests {
     /// collisions under single-bit tamper).
     #[test]
     fn single_bit_tamper_detected() {
-        check("single_bit_tamper_detected", &PropConfig::from_env(256), |rng| {
-            let payload: u64 = rng.random();
-            let bit = rng.random_range(0usize..64);
-            let a = MacTag::compute(7, 11, payload, 13);
-            let b = MacTag::compute(7, 11, payload ^ (1 << bit), 13);
-            assert_ne!(a, b);
-        });
+        check(
+            "single_bit_tamper_detected",
+            &PropConfig::from_env(256),
+            |rng| {
+                let payload: u64 = rng.random();
+                let bit = rng.random_range(0usize..64);
+                let a = MacTag::compute(7, 11, payload, 13);
+                let b = MacTag::compute(7, 11, payload ^ (1 << bit), 13);
+                assert_ne!(a, b);
+            },
+        );
     }
 
     /// Replay with a stale counter changes the tag.
     #[test]
     fn stale_counter_detected() {
-        check("stale_counter_detected", &PropConfig::from_env(256), |rng| {
-            let counter = rng.random_range(0u64..u64::MAX);
-            let fresh = MacTag::compute(7, 11, 99, counter.wrapping_add(1));
-            let stale = MacTag::compute(7, 11, 99, counter);
-            assert_ne!(fresh, stale);
-        });
+        check(
+            "stale_counter_detected",
+            &PropConfig::from_env(256),
+            |rng| {
+                let counter = rng.random_range(0u64..u64::MAX);
+                let fresh = MacTag::compute(7, 11, 99, counter.wrapping_add(1));
+                let stale = MacTag::compute(7, 11, 99, counter);
+                assert_ne!(fresh, stale);
+            },
+        );
     }
 }

@@ -63,11 +63,9 @@ pub struct IntegrityTree {
 
 /// Folds child counters into a MAC payload word.
 fn fold_payload<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    words
-        .into_iter()
-        .fold(0xabcd_ef01_2345_6789u64, |acc, w| {
-            acc.rotate_left(7) ^ w.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        })
+    words.into_iter().fold(0xabcd_ef01_2345_6789u64, |acc, w| {
+        acc.rotate_left(7) ^ w.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    })
 }
 
 impl IntegrityTree {

@@ -41,11 +41,10 @@ fn main() -> Result<(), ModelError> {
         out.kbps
     );
 
-    let decoded = deframe(&out.received, key_bits.len(), 8).ok_or_else(|| {
-        ModelError::InvalidConfig {
+    let decoded =
+        deframe(&out.received, key_bits.len(), 8).ok_or_else(|| ModelError::InvalidConfig {
             reason: "preamble not found in received stream".into(),
-        }
-    })?;
+        })?;
     let recovered: Vec<u8> = decoded
         .chunks(8)
         .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8))
@@ -54,7 +53,11 @@ fn main() -> Result<(), ModelError> {
     println!("key recovered : {recovered:02x?}");
     println!(
         "exact match   : {}",
-        if recovered == key { "YES" } else { "no — raise the coding rate" }
+        if recovered == key {
+            "YES"
+        } else {
+            "no — raise the coding rate"
+        }
     );
     Ok(())
 }

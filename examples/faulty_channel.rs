@@ -76,7 +76,13 @@ fn main() -> Result<(), ModelError> {
         stats.final_window.raw(),
         link.goodput_kbps(&setup, payload.len(), &stats)
     );
-    assert_eq!(delivered, payload, "the ARQ must deliver the payload exactly");
-    println!("payload delivered exactly despite {} injected faults", injector.applied().len());
+    assert_eq!(
+        delivered, payload,
+        "the ARQ must deliver the payload exactly"
+    );
+    println!(
+        "payload delivered exactly despite {} injected faults",
+        injector.applied().len()
+    );
     Ok(())
 }

@@ -32,7 +32,10 @@ fn main() -> Result<(), ModelError> {
 
     // Environments (c)/(d): another tenant streaming integrity-tree data
     // through the MEE cache — the noise that actually hurts.
-    for (label, stride, pages) in [("MEE noise 512 B ", 512usize, 128usize), ("MEE noise 4 KiB ", 4096, 256)] {
+    for (label, stride, pages) in [
+        ("MEE noise 512 B ", 512usize, 128usize),
+        ("MEE noise 4 KiB ", 4096, 256),
+    ] {
         let mut setup = mee_covert::testbed::noisy_setup(88)?;
         let session = Session::establish(&mut setup, &ChannelConfig::default())?;
         let (proc, mut actor) = MeeNoiseActor::install_on(&mut setup, stride, pages)?;

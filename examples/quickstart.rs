@@ -54,9 +54,7 @@ fn main() -> Result<(), ModelError> {
         out.errors.count(),
         out.kbps
     );
-    println!(
-        "probe times: '0' reads ≈480 cycles (versions hit), '1' reads ≈750 (miss):"
-    );
+    println!("probe times: '0' reads ≈480 cycles (versions hit), '1' reads ≈750 (miss):");
     for (bit, probe) in out.sent.iter().zip(out.probe_times.iter().skip(1)).take(8) {
         println!("  sent {} → probe {probe}", *bit as u8);
     }

@@ -26,8 +26,7 @@ fn plan(dir: Option<&PathBuf>) -> CampaignPlan {
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("mee_campaign_it_{tag}_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("mee_campaign_it_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -72,7 +72,10 @@ fn different_seeds_produce_different_traces() {
 fn tracing_on_and_off_sessions_are_bit_identical() {
     let (untraced, empty_log) = run_session_traced(2019, None);
     let (traced, log) = run_session_traced(2019, Some(1 << 20));
-    assert_eq!(untraced, traced, "enabling tracing perturbed the simulation");
+    assert_eq!(
+        untraced, traced,
+        "enabling tracing perturbed the simulation"
+    );
     assert_eq!(empty_log, "", "untraced session captured events");
     assert!(!log.is_empty(), "traced session captured nothing");
 }
@@ -88,7 +91,10 @@ fn same_seed_event_logs_are_byte_identical() {
     assert_eq!(log_a, log_b, "same-seed event logs diverged");
     // The log must be substantial for the byte-comparison to be a real
     // claim (an always-empty log would pass vacuously).
-    assert!(log_a.lines().count() > 1_000, "suspiciously small event log");
+    assert!(
+        log_a.lines().count() > 1_000,
+        "suspiciously small event log"
+    );
 }
 
 /// A faulted session trace: the transcript plus the exact fault events

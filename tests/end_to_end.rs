@@ -55,14 +55,16 @@ fn channel_works_across_sixteen_seeds() {
     // pool.
     let plan = SweepPlan::new(testbed::SEED, 16);
     let cfg = ChannelConfig::sweep_setup();
-    let outcomes = plan
-        .runner()
-        .seed_sweep(plan.root_seed, plan.sessions, |spec| -> Result<f64, ModelError> {
+    let outcomes = plan.runner().seed_sweep(
+        plan.root_seed,
+        plan.sessions,
+        |spec| -> Result<f64, ModelError> {
             let mut setup = testbed::noisy_setup(spec.seed)?;
             let session = Session::establish(&mut setup, &cfg)?;
             let payload = random_bits(32, spec.seed);
             Ok(session.transmit(&mut setup, &payload)?.error_rate())
-        });
+        },
+    );
     assert_eq!(outcomes.len(), 16);
     let failures = outcomes
         .iter()

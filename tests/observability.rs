@@ -65,7 +65,10 @@ fn traced_session_covers_all_four_categories() {
     let events = setup.machine.obs().events();
     let categories: BTreeSet<&'static str> = events.iter().map(|e| e.kind.category()).collect();
     for want in ["memory", "tree", "fault", "channel"] {
-        assert!(categories.contains(want), "missing {want:?} in {categories:?}");
+        assert!(
+            categories.contains(want),
+            "missing {want:?} in {categories:?}"
+        );
     }
     // The log is in recording order, not timestamp order (a memory op's
     // completion event is stamped at issue time but recorded after the
@@ -79,7 +82,10 @@ fn traced_session_covers_all_four_categories() {
             _ => None,
         })
         .collect();
-    assert!(op_cores.len() >= 2, "expected traffic from both cores, got {op_cores:?}");
+    assert!(
+        op_cores.len() >= 2,
+        "expected traffic from both cores, got {op_cores:?}"
+    );
 }
 
 /// An undersized ring drops the *oldest* events, counts what it dropped,

@@ -29,7 +29,10 @@ fn figure5_ladder_via_fig5_driver() {
     let pooled = r.pooled();
     let versions = pooled.mean_at(HitLevel::Versions).unwrap();
     // §5.4 anchors.
-    assert!((420..=560).contains(&versions.raw()), "versions = {versions}");
+    assert!(
+        (420..=560).contains(&versions.raw()),
+        "versions = {versions}"
+    );
     let mut prev = versions;
     for level in [HitLevel::L0, HitLevel::L1, HitLevel::L2, HitLevel::Root] {
         if let Some(m) = pooled.mean_at(level) {
@@ -51,11 +54,7 @@ fn figure6_contrast() {
     assert!(r.prime_probe.errors.rate() >= r.this_work.errors.rate());
     // The probe-cost claim: >3500 cycles vs well under 1000.
     assert!(r.prime_probe.probe_times.iter().all(|t| t.raw() > 3_500));
-    assert!(r
-        .this_work
-        .probe_times
-        .iter()
-        .all(|t| t.raw() < 1_500));
+    assert!(r.this_work.probe_times.iter().all(|t| t.raw() < 1_500));
 }
 
 #[test]
@@ -76,24 +75,34 @@ fn figure6_channel_statistics_pool_sixteen_seeds() {
     );
     for p in &points {
         // No catastrophic session hides inside a good pool…
-        assert!(p.error_rate() < 0.25, "session {} (seed {}): {}", p.index, p.seed, p.error_rate());
+        assert!(
+            p.error_rate() < 0.25,
+            "session {} (seed {}): {}",
+            p.index,
+            p.seed,
+            p.error_rate()
+        );
         // …every session hits the paper's ~35 KBps operating point…
-        assert!((30.0..=40.0).contains(&p.kbps), "session {}: {} KBps", p.index, p.kbps);
+        assert!(
+            (30.0..=40.0).contains(&p.kbps),
+            "session {}: {} KBps",
+            p.index,
+            p.kbps
+        );
         // …and single-way probes stay far below P+P's 3500-cycle sweeps.
-        assert!(p.probe_p95.raw() < 1_500, "session {}: p95 {}", p.index, p.probe_p95);
+        assert!(
+            p.probe_p95.raw() < 1_500,
+            "session {}: p95 {}",
+            p.index,
+            p.probe_p95
+        );
     }
 }
 
 #[test]
 fn figure7_cliff_and_sweet_spot() {
     let r = run_fig7(42, 384, &[7_500, 15_000]).unwrap();
-    let err = |w: u64| {
-        r.points
-            .iter()
-            .find(|p| p.window == w)
-            .unwrap()
-            .error_rate
-    };
+    let err = |w: u64| r.points.iter().find(|p| p.window == w).unwrap().error_rate;
     assert!(err(7_500) > err(15_000) + 0.1, "no cliff below 9000 cycles");
     assert!(err(15_000) < 0.08);
 }

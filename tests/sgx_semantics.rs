@@ -105,7 +105,8 @@ fn restriction_hugepage_denial_names_the_instruction() {
     );
     // Regular processes may still get contiguous frames.
     let r = m.create_process(AddressSpaceKind::Regular);
-    m.map_pages_contiguous(r, VirtAddr::new(0x50_0000), 4).unwrap();
+    m.map_pages_contiguous(r, VirtAddr::new(0x50_0000), 4)
+        .unwrap();
 }
 
 #[test]
@@ -176,7 +177,9 @@ fn counter_tamper_detected_only_on_deep_walks() {
         let geo = *m.mee().geometry();
         geo.walk_path(pa.line())
     };
-    m.mee_mut().tree_mut().tamper_counter(TreeLevel::L1, path.l1);
+    m.mee_mut()
+        .tree_mut()
+        .tamper_counter(TreeLevel::L1, path.l1);
 
     // Versions line is still cached: walk stops early, tamper unnoticed.
     assert!(m.read(CORE0, p, base).is_ok());

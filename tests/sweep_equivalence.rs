@@ -21,8 +21,7 @@ fn parallel_channel_sweep_is_byte_identical_to_serial() {
     // the host has cores).
     for threads in [2usize, 8] {
         let parallel =
-            run_channel_sweep(&SweepPlan::new(testbed::SEED, 3).threads(threads), &cfg, 8)
-                .unwrap();
+            run_channel_sweep(&SweepPlan::new(testbed::SEED, 3).threads(threads), &cfg, 8).unwrap();
         assert_eq!(serial, parallel, "{threads} threads diverged from serial");
         // Belt and braces for the "byte-identical" claim: the full debug
         // rendering (every field, f64s included) matches character for
@@ -34,7 +33,10 @@ fn parallel_channel_sweep_is_byte_identical_to_serial() {
     let specs = SweepPlan::new(testbed::SEED, 3).session_specs();
     for (point, spec) in serial.iter().zip(&specs) {
         assert_eq!(point.seed, spec.seed);
-        assert_eq!(point.seed, mee_covert::rng::stream_seed(testbed::SEED, spec.index as u64));
+        assert_eq!(
+            point.seed,
+            mee_covert::rng::stream_seed(testbed::SEED, spec.index as u64)
+        );
     }
 }
 
@@ -46,21 +48,22 @@ fn parallel_resilience_sweep_is_byte_identical_to_serial() {
     use mee_covert::attack::experiments::run_resilience_sweep;
 
     let bits = 24;
-    let serial =
-        run_resilience_sweep(&SweepPlan::new(testbed::SEED, 2).threads(1), bits).unwrap();
+    let serial = run_resilience_sweep(&SweepPlan::new(testbed::SEED, 2).threads(1), bits).unwrap();
     assert_eq!(serial.len(), 2);
     for threads in [2usize, 8] {
         let parallel =
-            run_resilience_sweep(&SweepPlan::new(testbed::SEED, 2).threads(threads), bits)
-                .unwrap();
+            run_resilience_sweep(&SweepPlan::new(testbed::SEED, 2).threads(threads), bits).unwrap();
         assert_eq!(serial, parallel, "{threads} threads diverged from serial");
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
     // Each session's result must match its standalone replay: the sweep
     // adds scheduling, never state.
     for (spec, result) in &serial {
-        let replay =
-            mee_covert::attack::experiments::run_resilience(spec.seed, bits).unwrap();
-        assert_eq!(*result, replay, "session {} diverged from replay", spec.index);
+        let replay = mee_covert::attack::experiments::run_resilience(spec.seed, bits).unwrap();
+        assert_eq!(
+            *result, replay,
+            "session {} diverged from replay",
+            spec.index
+        );
     }
 }
