@@ -9,9 +9,8 @@ cd "$(dirname "$0")"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
-# Formatting gate, so far for the crates that have been brought to rustfmt
-# style; extend the package list as more crates are formatted.
-cargo fmt -p mee-cache -p mee-machine -p mee-sweep -p mee-campaign -p mee-attack -- --check
+# Formatting gate over the whole workspace: crates, tests and examples.
+cargo fmt --all -- --check
 
 # Every example must run end to end (quick payloads, release build).
 for example in quickstart covert_channel noisy_channel prime_probe_failure \

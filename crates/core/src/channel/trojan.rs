@@ -63,10 +63,11 @@ impl EvictionSweep {
         }
     }
 
-    /// The `j`-th element of the current cyclic sweep order.
+    /// The `j`-th element of the current cyclic sweep order. Both
+    /// `rotation` and `j` are below `n`, so one subtraction wraps.
     fn sweep_addr(&self, j: usize) -> VirtAddr {
-        let n = self.eviction_set.len();
-        self.eviction_set[(self.rotation + j) % n]
+        let (n, i) = (self.eviction_set.len(), self.rotation + j);
+        self.eviction_set[if i < n { i } else { i - n }]
     }
 
     /// Closes a `1`: records its cost, rotates the sweep start, and
@@ -107,8 +108,8 @@ impl WindowAction for EvictionSweep {
             });
         }
         let addr = self.sweep_addr(if k <= n { k - 1 } else { 2 * n + 1 - k });
-        cpu.read(addr)?;
-        cpu.clflush(addr)?;
+        // One read + `clflush` pair, translated once.
+        cpu.sweep_read_flush(std::slice::from_ref(&addr))?;
         Ok(if k == 2 * n + 1 {
             self.finish_one(cpu)
         } else {

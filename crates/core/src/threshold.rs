@@ -119,7 +119,8 @@ impl LatencyClassifier {
 /// that updates per-cluster averages *by its own classification* cannot
 /// recover once both clusters drift past the stale threshold. This wrapper
 /// instead keeps a sliding window of recent samples and, once the window is
-/// full, re-derives the two clusters from scratch: sort the window, split
+/// full, re-derives the two clusters from scratch: take the window in
+/// sorted order (a sorted copy kept up to date sample by sample), split
 /// at the largest latency gap (requiring at least [`Self::MIN_CLUSTER`]
 /// samples on each side, so stray deep-walk outliers cannot define a
 /// cluster), and re-center the threshold 40% of the way up the gap — the
@@ -129,6 +130,9 @@ impl LatencyClassifier {
 pub struct AdaptiveClassifier {
     current: LatencyClassifier,
     window: Vec<u64>,
+    /// The window's samples in ascending order, kept in step with
+    /// `window` one removal and one insertion per sample.
+    sorted: Vec<u64>,
     cursor: usize,
     recalibrations: usize,
 }
@@ -152,6 +156,7 @@ impl AdaptiveClassifier {
         AdaptiveClassifier {
             current: base,
             window: Vec::with_capacity(Self::WINDOW),
+            sorted: Vec::with_capacity(Self::WINDOW),
             cursor: 0,
             recalibrations: 0,
         }
@@ -179,9 +184,13 @@ impl AdaptiveClassifier {
         if self.window.len() < Self::WINDOW {
             self.window.push(sample);
         } else {
-            self.window[self.cursor] = sample;
+            let evicted = std::mem::replace(&mut self.window[self.cursor], sample);
+            self.sorted
+                .remove(self.sorted.partition_point(|&s| s < evicted));
             self.cursor = (self.cursor + 1) % Self::WINDOW;
         }
+        let at = self.sorted.partition_point(|&s| s < sample);
+        self.sorted.insert(at, sample);
         if self.window.len() == Self::WINDOW {
             self.recalibrate();
         }
@@ -189,8 +198,7 @@ impl AdaptiveClassifier {
     }
 
     fn recalibrate(&mut self) {
-        let mut sorted = self.window.clone();
-        sorted.sort_unstable();
+        let sorted = &self.sorted;
         let n = sorted.len();
         let mut best_gap = 0u64;
         let mut split = 0usize;
@@ -312,6 +320,36 @@ mod tests {
             a.recalibrations() <= 1,
             "steady clusters caused {} recalibrations",
             a.recalibrations()
+        );
+    }
+
+    /// The incrementally kept sorted copy always holds the window's
+    /// samples in order — what sorting a clone of the window would give —
+    /// so recalibration sees the same clusters. Samples come from a few
+    /// values (many duplicates) plus a drifting pair of clusters.
+    #[test]
+    fn sorted_copy_tracks_the_window() {
+        use mee_rng::prop::{check, pick, PropConfig};
+        check(
+            "sorted_copy_tracks_the_window",
+            &PropConfig::from_env(32),
+            |rng| {
+                let mut a = AdaptiveClassifier::new(LatencyClassifier {
+                    threshold: Cycles::new(590),
+                    bias: Cycles::new(pick(rng, &[0, 50])),
+                });
+                for i in 0..300u64 {
+                    let raw = if rng.random::<bool>() {
+                        pick(rng, &[0, 480, 530, 750, 800])
+                    } else {
+                        pick(rng, &[480, 750]) + i + rng.random_range(0..60u64)
+                    };
+                    a.observe(Cycles::new(raw));
+                    let mut expected = a.window.clone();
+                    expected.sort_unstable();
+                    assert_eq!(a.sorted, expected, "after sample {i}");
+                }
+            },
         );
     }
 

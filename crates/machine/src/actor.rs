@@ -287,6 +287,15 @@ const STUCK_LIMIT: u32 = 100_000;
 /// re-selected afterwards, since the hook may have moved clocks. See
 /// `DESIGN.md`, "Scheduler".
 ///
+/// The loop does not rescan the actors before every step. An actor's step
+/// moves only its own core's clock (every [`CoreHandle`] primitive is
+/// bound to the handle's core; only hooks move other clocks), so after a
+/// pick the scan's answer stays the same while the picked actor's clock
+/// stays below the other runnable clocks (equal to a higher slot's is
+/// fine) and the horizon, and the hook is not due. The loop keeps stepping
+/// that actor while all of that holds: the steps, the hook calls and the
+/// deadlock guard are those of one scan per step.
+///
 /// # Errors
 ///
 /// Same conditions as [`run_actors`], plus any error raised by the hook.
@@ -319,12 +328,7 @@ pub fn run_actor_refs_hooked(
     let mut steps: u64 = 0;
 
     while let Some((mut slot, now)) = next_actor(machine, actors, &done, horizon) {
-        let hook_due = match hook.schedule() {
-            HookSchedule::EveryStep => true,
-            HookSchedule::At(at) => now >= at,
-            HookSchedule::Idle => false,
-        };
-        if hook_due {
+        if hook_due(hook, now) {
             hook.before_step(machine, now)?;
             match next_actor(machine, actors, &done, horizon) {
                 Some((after_hook, _)) => slot = after_hook,
@@ -332,23 +336,35 @@ pub fn run_actor_refs_hooked(
             }
         }
 
+        // Run ahead: step `slot` for as long as the scan would pick it
+        // again. A step moves only its own core's clock, so `limit` holds
+        // until the hook next runs.
+        let limit = run_ahead_limit(machine, actors, &done, horizon, slot);
         let (core, proc, actor) = &mut actors[slot];
-        let before = machine.core_now(*core);
-        let outcome = actor.step(&mut CoreHandle::new(machine, *core, *proc))?;
-        steps += 1;
-        if outcome == StepOutcome::Done {
-            done[slot] = true;
-        } else if machine.core_now(*core) == before {
-            stuck_count[slot] += 1;
-            if stuck_count[slot] > STUCK_LIMIT {
-                return Err(ModelError::InvalidConfig {
-                    reason: format!(
-                        "actor on {core} made {STUCK_LIMIT} steps without advancing its clock"
-                    ),
-                });
+        loop {
+            let before = machine.core_now(*core);
+            let outcome = actor.step(&mut CoreHandle::new(machine, *core, *proc))?;
+            steps += 1;
+            if outcome == StepOutcome::Done {
+                done[slot] = true;
+                break;
             }
-        } else {
-            stuck_count[slot] = 0;
+            let after = machine.core_now(*core);
+            if after == before {
+                stuck_count[slot] += 1;
+                if stuck_count[slot] > STUCK_LIMIT {
+                    return Err(ModelError::InvalidConfig {
+                        reason: format!(
+                            "actor on {core} made {STUCK_LIMIT} steps without advancing its clock"
+                        ),
+                    });
+                }
+            } else {
+                stuck_count[slot] = 0;
+            }
+            if after >= limit || hook_due(hook, after) {
+                break;
+            }
         }
     }
 
@@ -357,6 +373,41 @@ pub fn run_actor_refs_hooked(
         .host
         .record_n("actor_step_loop", steps, loop_start.elapsed());
     Ok(())
+}
+
+/// Whether `hook`'s schedule asks for a `before_step` call at `now`.
+fn hook_due(hook: &dyn StepHook, now: Cycles) -> bool {
+    match hook.schedule() {
+        HookSchedule::EveryStep => true,
+        HookSchedule::At(at) => now >= at,
+        HookSchedule::Idle => false,
+    }
+}
+
+/// The clock below which [`next_actor`] keeps picking `slot`, as long as
+/// no other core's clock moves: `horizon`, every other runnable actor's
+/// clock in a lower slot (which wins a tie), and one past every other
+/// runnable actor's clock in a higher slot (which loses one).
+fn run_ahead_limit(
+    machine: &Machine,
+    actors: &[ActorRef<'_>],
+    done: &[bool],
+    horizon: Cycles,
+    slot: usize,
+) -> Cycles {
+    actors
+        .iter()
+        .enumerate()
+        .filter(|&(other, _)| other != slot && !done[other])
+        .map(|(other, (core, _, _))| {
+            let clock = machine.core_now(*core);
+            if other < slot {
+                clock
+            } else {
+                Cycles::new(clock.raw().saturating_add(1))
+            }
+        })
+        .fold(horizon, Cycles::min)
 }
 
 /// The runnable actor with the smallest core clock below `horizon`, and
@@ -685,6 +736,195 @@ mod tests {
         assert_eq!(core1[20..22], [2_000, 17_050]);
         assert_eq!(narrowed_calls, 1, "the At hook is called once, when due");
         assert!(every_calls > narrowed_calls);
+    }
+
+    /// One step of a [`ScriptedActor`].
+    #[derive(Debug, Clone, Copy)]
+    enum Scripted {
+        /// Burn this many cycles (0 is a step that leaves the clock alone).
+        Advance(u64),
+        /// Report [`StepOutcome::Done`].
+        Finish,
+    }
+
+    /// Plays its script one entry per step, logging `(slot, clock before
+    /// the step)`, and finishes when the script runs out.
+    struct ScriptedActor {
+        slot: usize,
+        script: Vec<Scripted>,
+        next: usize,
+        log: StepLog,
+    }
+
+    impl Actor for ScriptedActor {
+        fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
+            self.log.borrow_mut().push((self.slot, cpu.now().raw()));
+            let entry = self.script.get(self.next).copied();
+            self.next += 1;
+            match entry {
+                Some(Scripted::Advance(cycles)) => {
+                    cpu.advance(Cycles::new(cycles));
+                    Ok(StepOutcome::Running)
+                }
+                Some(Scripted::Finish) | None => Ok(StepOutcome::Done),
+            }
+        }
+    }
+
+    /// Replays `(at, core, preempt, cycles)` events the way the fault
+    /// injector does — each once, at the first call at or after `at`,
+    /// preempting the core until `at + cycles` or skewing its clock by
+    /// `cycles` — and logs the `now` of every call. Its schedule is
+    /// `EveryStep`, or `At` the next event and then `Idle`.
+    struct ScriptedHook {
+        events: Vec<(u64, usize, bool, u64)>,
+        cursor: usize,
+        every_step: bool,
+        calls: Vec<u64>,
+    }
+
+    impl StepHook for ScriptedHook {
+        fn before_step(&mut self, machine: &mut Machine, now: Cycles) -> Result<(), ModelError> {
+            self.calls.push(now.raw());
+            while let Some(&(at, core, preempt, cycles)) = self.events.get(self.cursor) {
+                if at > now.raw() {
+                    break;
+                }
+                self.cursor += 1;
+                if preempt {
+                    machine.preempt_until(CoreId::new(core), Cycles::new(at + cycles));
+                } else {
+                    machine.skew_clock(CoreId::new(core), Cycles::new(cycles));
+                }
+            }
+            Ok(())
+        }
+
+        fn schedule(&self) -> HookSchedule {
+            match (self.every_step, self.events.get(self.cursor)) {
+                (true, _) => HookSchedule::EveryStep,
+                (false, Some(&(at, ..))) => HookSchedule::At(Cycles::new(at)),
+                (false, None) => HookSchedule::Idle,
+            }
+        }
+    }
+
+    /// The scheduler loop with one scan per step: the reference that
+    /// [`run_actor_refs_hooked`]'s run-ahead must match.
+    fn run_one_scan_per_step(
+        machine: &mut Machine,
+        actors: &mut [ActorRef<'_>],
+        horizon: Cycles,
+        hook: &mut dyn StepHook,
+    ) -> Result<(), ModelError> {
+        let mut done = vec![false; actors.len()];
+        let mut stuck_count = vec![0u32; actors.len()];
+        while let Some((mut slot, now)) = next_actor(machine, actors, &done, horizon) {
+            if hook_due(hook, now) {
+                hook.before_step(machine, now)?;
+                match next_actor(machine, actors, &done, horizon) {
+                    Some((after_hook, _)) => slot = after_hook,
+                    None => break,
+                }
+            }
+            let (core, proc, actor) = &mut actors[slot];
+            let before = machine.core_now(*core);
+            if actor.step(&mut CoreHandle::new(machine, *core, *proc))? == StepOutcome::Done {
+                done[slot] = true;
+            } else if machine.core_now(*core) == before {
+                stuck_count[slot] += 1;
+                if stuck_count[slot] > STUCK_LIMIT {
+                    return Err(ModelError::InvalidConfig {
+                        reason: "stuck".into(),
+                    });
+                }
+            } else {
+                stuck_count[slot] = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// The run-ahead scheduler takes exactly the steps, in exactly the
+    /// order and at exactly the clocks, and makes exactly the hook calls,
+    /// of one scan per step — over scripted actors with clock ties,
+    /// zero-advance steps and early `Done`s, with no hook, a hook called
+    /// before every step, and an `At`-then-`Idle` hook that preempts and
+    /// skews clocks.
+    #[test]
+    fn run_ahead_matches_one_scan_per_step() {
+        use mee_rng::prop::{check, pick, vec_of, PropConfig};
+        check(
+            "run_ahead_matches_one_scan_per_step",
+            &PropConfig::from_env(48),
+            |rng| {
+                let n = rng.random_range(2..4usize);
+                let scripts: Vec<Vec<Scripted>> = (0..n)
+                    .map(|_| {
+                        vec_of(rng, 0..80, |r| match r.random_range(0..40u32) {
+                            0 => Scripted::Finish,
+                            1..=8 => Scripted::Advance(0),
+                            _ => Scripted::Advance(pick(r, &[50, 100, 150, 400])),
+                        })
+                    })
+                    .collect();
+                let mut cores: Vec<usize> = (0..4).collect();
+                rng.shuffle(&mut cores);
+                let horizon = Cycles::new(rng.random_range(500..6_000u64));
+                let mut events = vec_of(rng, 0..6, |r| {
+                    let at = r.random_range(0..5_000u64);
+                    (
+                        at,
+                        cores[r.random_range(0..n)],
+                        r.random(),
+                        pick(r, &[0, 50, 100, 700]),
+                    )
+                });
+                events.sort_by_key(|e| e.0);
+
+                // `None`: no hook; `Some(every_step)`: the scripted hook.
+                for mode in [None, Some(true), Some(false)] {
+                    let run = |run_ahead: bool| {
+                        let (mut m, p, _) = setup();
+                        let log = StepLog::default();
+                        let mut actors: Vec<ScriptedActor> = scripts
+                            .iter()
+                            .enumerate()
+                            .map(|(slot, script)| ScriptedActor {
+                                slot,
+                                script: script.clone(),
+                                next: 0,
+                                log: log.clone(),
+                            })
+                            .collect();
+                        let mut refs: Vec<ActorRef<'_>> = actors
+                            .iter_mut()
+                            .zip(&cores)
+                            .map(|(a, &c)| (CoreId::new(c), p, a as &mut dyn Actor))
+                            .collect();
+                        let mut scripted = ScriptedHook {
+                            events: events.clone(),
+                            cursor: 0,
+                            every_step: mode == Some(true),
+                            calls: Vec::new(),
+                        };
+                        let hook: &mut dyn StepHook = match mode {
+                            None => &mut NoopHook,
+                            Some(_) => &mut scripted,
+                        };
+                        let result = if run_ahead {
+                            run_actor_refs_hooked(&mut m, &mut refs, horizon, hook)
+                        } else {
+                            run_one_scan_per_step(&mut m, &mut refs, horizon, hook)
+                        };
+                        let clocks: Vec<Cycles> =
+                            cores.iter().map(|&c| m.core_now(CoreId::new(c))).collect();
+                        (result.is_ok(), log.take(), scripted.calls, clocks)
+                    };
+                    assert_eq!(run(true), run(false), "hook mode {mode:?}");
+                }
+            },
+        );
     }
 
     #[test]

@@ -163,7 +163,6 @@ impl MachineConfig {
 
     /// Disables all noise sources (jitter + stalls), keeping geometry.
     pub fn without_noise(mut self) -> Self {
-        self.timing.dram_jitter_std = 0.0;
         self.timing.stall_mean_interval = 0;
         self.dram.jitter_std = 0.0;
         self
@@ -240,7 +239,6 @@ mod tests {
     #[test]
     fn without_noise_strips_all_noise() {
         let cfg = MachineConfig::default().without_noise();
-        assert_eq!(cfg.timing.dram_jitter_std, 0.0);
         assert_eq!(cfg.timing.stall_mean_interval, 0);
         assert_eq!(cfg.dram.jitter_std, 0.0);
     }
@@ -262,6 +260,22 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.l1.sets = 3;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn bad_dram_jitter_is_a_typed_error_not_a_panic() {
+        for jitter_std in [f64::NAN, -1.0] {
+            let mut cfg = MachineConfig::small();
+            cfg.dram.jitter_std = jitter_std;
+            assert!(matches!(
+                cfg.validate(),
+                Err(ModelError::InvalidConfig { .. })
+            ));
+            assert!(matches!(
+                crate::Machine::new(cfg),
+                Err(ModelError::InvalidConfig { .. })
+            ));
+        }
     }
 
     /// A geometry the cache's policy cannot hold is a typed error at the

@@ -447,8 +447,11 @@ impl Machine {
         }
         let vpn = va.vpn().raw();
         let pid = proc.index() as u64;
-        let slot =
-            ((vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % self.tlb.len() as u64) as usize;
+        // Multiply-shift: the high word of `hash · len` is a slot below
+        // `len`, with no division.
+        let hash =
+            (vpn ^ pid.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = ((u128::from(hash) * self.tlb.len() as u128) >> 64) as usize;
         let e = self.tlb[slot];
         if e.stamp == self.pt_generation && e.vpn == vpn && u64::from(e.proc) == pid {
             return Ok(PhysAddr::new(e.page_base + va.page_offset()));

@@ -86,8 +86,6 @@ pub struct TimingConfig {
     pub ocall_min: Cycles,
     /// Maximum cost of an OCALL round trip.
     pub ocall_max: Cycles,
-    /// Standard deviation of Gaussian jitter added to each DRAM access.
-    pub dram_jitter_std: f64,
     /// Mean cycles between background OS/system stall events on a core
     /// (timer interrupts, SMIs, …). Stalls are Poisson-distributed; `0`
     /// disables them.
@@ -119,7 +117,6 @@ impl Default for TimingConfig {
             timer_read: Cycles::new(50),
             ocall_min: Cycles::new(8_000),
             ocall_max: Cycles::new(15_000),
-            dram_jitter_std: 40.0,
             stall_mean_interval: 500_000,
             stall_min: Cycles::new(1_500),
             stall_max: Cycles::new(12_000),
@@ -133,13 +130,13 @@ impl TimingConfig {
         Self::default()
     }
 
-    /// A noise-free variant: no DRAM jitter and no background stalls.
+    /// A noise-free variant: no background stalls. (DRAM jitter belongs
+    /// to the DRAM model: `DramConfig::jitter_std` in `mee-mem`.)
     ///
     /// Used by the reverse-engineering unit tests, which need exact
     /// latency classification.
     pub fn noiseless() -> Self {
         TimingConfig {
-            dram_jitter_std: 0.0,
             stall_mean_interval: 0,
             ..Self::default()
         }
@@ -150,8 +147,8 @@ impl TimingConfig {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidConfig`] if the clock is non-positive,
-    /// jitter is negative, or `ocall_min > ocall_max` / `stall_min >
-    /// stall_max` / `dram_row_hit > dram_row_miss`.
+    /// or `ocall_min > ocall_max` / `stall_min > stall_max` /
+    /// `dram_row_hit > dram_row_miss`.
     pub fn validate(&self) -> Result<(), ModelError> {
         let fail = |reason: &str| {
             Err(ModelError::InvalidConfig {
@@ -160,9 +157,6 @@ impl TimingConfig {
         };
         if self.clock_ghz <= 0.0 || self.clock_ghz.is_nan() {
             return fail("clock_ghz must be positive");
-        }
-        if self.dram_jitter_std < 0.0 {
-            return fail("dram_jitter_std must be non-negative");
         }
         if self.ocall_min > self.ocall_max {
             return fail("ocall_min must not exceed ocall_max");
@@ -281,7 +275,6 @@ mod tests {
     #[test]
     fn noiseless_has_no_noise() {
         let t = TimingConfig::noiseless();
-        assert_eq!(t.dram_jitter_std, 0.0);
         assert_eq!(t.stall_mean_interval, 0);
         t.validate().expect("noiseless config must validate");
     }
@@ -295,10 +288,6 @@ mod tests {
             },
             TimingConfig {
                 ocall_min: Cycles::new(20_000),
-                ..TimingConfig::default()
-            },
-            TimingConfig {
-                dram_jitter_std: -1.0,
                 ..TimingConfig::default()
             },
             TimingConfig {
