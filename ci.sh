@@ -30,24 +30,21 @@ cargo run --release --offline -p mee-spec -- --tier exhaustive --budget full
 echo "== spec: property tier"
 cargo run --release --offline -p mee-spec -- --tier property
 
-# Smoke-run the parallel seed-sweep bench (scale 1 = 4 sessions, 64 bits
-# each) and hold the BENCH_sweep.json aggregate to its schema: a missing
-# key means a consumer diffing the trajectory across commits silently
-# loses that series.
-echo "== bench-sweep smoke"
-cargo run --release --offline -p mee-bench --bin bench-sweep -- 2019 1 --threads 2 >/dev/null
-for key in name root_seed sessions threads bits_per_session ber_mean ber_p95 \
-           kbps_p50 kbps_p95 probe_p50_cycles probe_p95_cycles; do
-  grep -q "\"${key}\":" BENCH_sweep.json ||
-    { echo "BENCH_sweep.json schema drift: missing key '${key}'" >&2; exit 1; }
-done
+# Scratch space for the artifact smokes below, removed on exit.
+SMOKE_TMP=$(mktemp -d)
+trap 'rm -rf "${SMOKE_TMP}"' EXIT
 
 # Smoke-run the resilience bench (2 sessions, off/light/heavy fault plans
 # with the full raw/robust/ARQ phase stack) and hold BENCH_resilience.json
-# to its schema the same way.
+# to its schema. The artifact carries no host-side field, so a serial run
+# must be byte-identical to the 2-thread one.
 echo "== bench-resilience smoke"
 cargo run --release --offline -p mee-bench --bin bench-resilience -- 2019 1 --threads 2 >/dev/null
-for key in name root_seed sessions threads bits_per_session raw_ber_off \
+cargo run --release --offline -p mee-bench --bin bench-resilience -- 2019 1 --threads 1 \
+  --out "${SMOKE_TMP}/resilience_serial.json" >/dev/null
+cmp BENCH_resilience.json "${SMOKE_TMP}/resilience_serial.json" ||
+  { echo "bench-resilience: --threads 1 artifact differs from --threads 2" >&2; exit 1; }
+for key in name root_seed sessions bits_per_session raw_ber_off \
            raw_ber_light raw_ber_heavy degradation_x residual_worst \
            retransmissions_heavy window_escalations_heavy goodput_heavy_kbps; do
   grep -q "\"${key}\":" BENCH_resilience.json ||
@@ -61,13 +58,11 @@ done
 # determinism contract, enforced with cmp on every CI run. Then hold
 # BENCH_campaign.json to its schema like the other artifacts.
 echo "== bench-campaign kill/resume smoke"
-CAMPAIGN_TMP=$(mktemp -d)
-trap 'rm -rf "${CAMPAIGN_TMP}"' EXIT
 cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 --threads 2 \
-  --dir "${CAMPAIGN_TMP}/ref" --out BENCH_campaign.json >/dev/null
+  --dir "${SMOKE_TMP}/ref" --out BENCH_campaign.json >/dev/null
 if cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 --threads 2 \
-  --dir "${CAMPAIGN_TMP}/kill" --abort-after 2 \
-  --out "${CAMPAIGN_TMP}/aborted.json" >/dev/null 2>&1; then
+  --dir "${SMOKE_TMP}/kill" --abort-after 2 \
+  --out "${SMOKE_TMP}/aborted.json" >/dev/null 2>&1; then
   echo "bench-campaign: injected abort did not fail the process" >&2; exit 1
 else
   status=$?
@@ -75,13 +70,13 @@ else
     { echo "bench-campaign: expected exit 3 on injected abort, got ${status}" >&2; exit 1; }
 fi
 cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 --threads 4 \
-  --dir "${CAMPAIGN_TMP}/kill" --resume --out "${CAMPAIGN_TMP}/resumed.json" >/dev/null
-cmp BENCH_campaign.json "${CAMPAIGN_TMP}/resumed.json" ||
+  --dir "${SMOKE_TMP}/kill" --resume --out "${SMOKE_TMP}/resumed.json" >/dev/null
+cmp BENCH_campaign.json "${SMOKE_TMP}/resumed.json" ||
   { echo "bench-campaign: resumed artifact differs from uninterrupted reference" >&2; exit 1; }
 # A malformed campaign knob is a usage error (exit 2), like a bad flag.
 status=0
 MEE_CAMPAIGN_SHARDS=0 cargo run --release --offline -p mee-bench --bin bench-campaign -- 2019 1 \
-  --out "${CAMPAIGN_TMP}/bad_knob.json" >/dev/null 2>&1 || status=$?
+  --out "${SMOKE_TMP}/bad_knob.json" >/dev/null 2>&1 || status=$?
 [ "${status}" -eq 2 ] ||
   { echo "bench-campaign: expected exit 2 on MEE_CAMPAIGN_SHARDS=0, got ${status}" >&2; exit 1; }
 for key in name root_seed sessions_planned shards sessions_aggregated \

@@ -1,6 +1,6 @@
-//! The crash-safe campaign benchmark: a sharded, checkpointed channel
-//! campaign run through `mee-campaign`, reported as one deterministic
-//! JSON artifact.
+//! The channel-pool benchmark: a sharded, checkpointed campaign of
+//! `experiments::channel_point` sessions run through `mee-campaign`,
+//! reported as one deterministic JSON artifact.
 //!
 //! ```text
 //! cargo run --release -p mee-bench --bin bench-campaign -- \

@@ -16,27 +16,28 @@
 //!   `MEE_SWEEP_THREADS` pin the worker count, which changes wall time but
 //!   never the results.
 
-use mee_attack::experiments::{run_resilience_sweep, SweepPlan};
+use mee_attack::experiments::run_resilience;
 use mee_bench::resilience::{IntensityRecord, ResilienceReport};
 use mee_bench::HarnessArgs;
 use mee_sweep::Sweep;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    // Validate the environment override the same way bad CLI flags are
-    // rejected: a message on stderr and exit status 2.
-    if let Err(e) = Sweep::from_env() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
+    // A malformed environment override is rejected the same way as a bad
+    // CLI flag: a message on stderr and exit status 2.
+    let sweep = match Sweep::from_env() {
+        Ok(sweep) => sweep.threads(args.threads),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let sessions = 2 * args.scale;
     let bits = 48;
 
-    let mut plan = SweepPlan::new(args.seed, sessions);
-    if let Some(t) = args.threads {
-        plan = plan.threads(t);
-    }
-    let results = match run_resilience_sweep(&plan, bits) {
+    let results = match sweep.try_seed_sweep(args.seed, sessions, |spec| {
+        run_resilience(spec.seed, bits).map(|r| (spec, r))
+    }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("resilience sweep failed: {e}");
@@ -66,7 +67,6 @@ fn main() {
     let report = ResilienceReport {
         name: "resilience/fault_sweep".into(),
         root_seed: args.seed,
-        threads: plan.runner().thread_count(),
         bits_per_session: bits,
         records,
     };

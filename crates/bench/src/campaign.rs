@@ -43,8 +43,7 @@ impl CampaignReport {
                 series.push(',');
             }
             let q = |p: f64| {
-                s.sketch
-                    .quantile(p)
+                s.quantile(p)
                     .map_or_else(|| "null".to_owned(), |v| format!("{v:.6}"))
             };
             series.push_str(&format!(
@@ -160,6 +159,29 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"sessions_aggregated\":10"));
+    }
+
+    #[test]
+    fn constant_series_quantiles_read_the_constant() {
+        let plan = CampaignPlan::new("bench/test", 2019, 4, 2).threads(1);
+        let outcome = Campaign::new(plan, vec!["v".into()], "t/v1")
+            .unwrap()
+            .run(|_, _| Ok(vec![560.0 / 17.0]))
+            .unwrap();
+        let json = CampaignReport {
+            name: "bench/test".into(),
+            root_seed: 2019,
+            sessions_planned: 4,
+            shards: 2,
+            outcome,
+        }
+        .aggregate_json();
+        assert!(
+            json.contains(
+                "\"p10\":32.941176,\"p50\":32.941176,\"p90\":32.941176,\"p95\":32.941176"
+            ),
+            "{json}"
+        );
     }
 
     #[test]

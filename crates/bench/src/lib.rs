@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
 //! Shared plumbing for the `mee-bench` binaries: `repro`, which
 //! regenerates the paper's figures and experiments (see [`repro`]), and
-//! the four artifact writers `bench-sweep`, `bench-resilience`,
-//! `bench-campaign` and `bench-trace`. Host-speed measurement lives in
-//! the separate `perfbench` package.
+//! the three artifact writers `bench-resilience`, `bench-campaign` and
+//! `bench-trace`. Host-speed measurement lives in the separate
+//! `perfbench` package.
 //!
 //! Every binary accepts `[seed] [scale]` positional arguments (after
 //! `repro`'s experiment name):
@@ -20,7 +20,6 @@
 pub mod campaign;
 pub mod repro;
 pub mod resilience;
-pub mod sweep;
 
 /// Parsed command-line arguments for a `mee-bench` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,6 +8,8 @@
 //! The aggregate pools the three intensities across sessions and reports
 //! the headline robustness numbers: how hard the heavy plan degrades the
 //! raw channel, and what the recovering stack still delivers.
+//! The aggregate holds no host-side field such as the thread count, so
+//! runs at any `--threads` compare with `cmp` (ci.sh does).
 
 use std::io::Write as _;
 use std::path::Path;
@@ -69,8 +71,6 @@ pub struct ResilienceReport {
     pub name: String,
     /// Root seed the session seeds were split from.
     pub root_seed: u64,
-    /// Worker threads the sweep ran on.
-    pub threads: usize,
     /// Payload bits per phase per session.
     pub bits_per_session: usize,
     /// Per-cell records, session-major, intensities in plan order.
@@ -129,7 +129,7 @@ impl ResilienceReport {
             heavy.iter().map(|r| r.goodput_kbps).sum::<f64>() / heavy.len() as f64
         };
         format!(
-            "{{\"name\":{:?},\"root_seed\":{},\"sessions\":{},\"threads\":{},\
+            "{{\"name\":{:?},\"root_seed\":{},\"sessions\":{},\
              \"bits_per_session\":{},\"raw_ber_off\":{:.4},\"raw_ber_light\":{:.4},\
              \"raw_ber_heavy\":{:.4},\"degradation_x\":{:.2},\"residual_worst\":{:.4},\
              \"retransmissions_heavy\":{},\"window_escalations_heavy\":{},\
@@ -137,7 +137,6 @@ impl ResilienceReport {
             self.name,
             self.root_seed,
             sessions,
-            self.threads,
             self.bits_per_session,
             self.pooled_ber("off"),
             self.pooled_ber("light"),
@@ -192,7 +191,6 @@ mod tests {
         ResilienceReport {
             name: "resilience/fault_sweep".into(),
             root_seed: 2019,
-            threads: 2,
             bits_per_session: 64,
             records: vec![
                 cell(0, "off", 0.02),
@@ -219,7 +217,6 @@ mod tests {
             "\"name\"",
             "\"root_seed\"",
             "\"sessions\"",
-            "\"threads\"",
             "\"bits_per_session\"",
             "\"raw_ber_off\"",
             "\"raw_ber_light\"",
@@ -234,6 +231,10 @@ mod tests {
         }
         assert!(json.contains("\"sessions\":2"));
         assert!(json.contains("\"retransmissions_heavy\":12"));
+        assert!(
+            !json.contains("\"threads\""),
+            "the thread count is not part of the artifact"
+        );
     }
 
     #[test]

@@ -269,6 +269,19 @@ impl SeriesAgg {
         self.stats.merge(&other.stats);
         self.sketch.merge(&other.sketch);
     }
+
+    /// The `p`-th percentile as reported: the sketch's bucket lower bound,
+    /// clamped to the exact `[min, max]` of the series so a quantile never
+    /// falls outside the values seen; `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is outside `[0, 100]`.
+    pub fn quantile(&self, p: f64) -> Option<f64> {
+        self.sketch
+            .quantile(p)
+            .map(|v| v.clamp(self.stats.min, self.stats.max))
+    }
 }
 
 /// The completed aggregate of one shard: which sessions it covered and one
@@ -379,8 +392,7 @@ impl CampaignAggregate {
         for (name, agg) in &self.series {
             let s = &agg.stats;
             let q = |p: f64| {
-                agg.sketch
-                    .quantile(p)
+                agg.quantile(p)
                     .map_or_else(|| "-".to_owned(), |v| format!("{v:.6}"))
             };
             writeln!(
@@ -528,6 +540,29 @@ mod tests {
         assert_eq!(sk.quantile(50.0).unwrap(), 0.0);
         assert!(sk.quantile(100.0).unwrap() >= 5.0 * (1.0 - 0.01));
         assert_eq!(QuantileSketch::new().quantile(50.0), None);
+    }
+
+    #[test]
+    fn constant_series_reports_its_value_at_every_quantile() {
+        // 560/17 is the channel's constant kbps; its bucket's lower bound
+        // is 32.75, below every value the series holds.
+        let v = 560.0 / 17.0;
+        let mut agg = SeriesAgg::new();
+        for _ in 0..16 {
+            agg.push(v);
+        }
+        assert!(agg.sketch.quantile(50.0).unwrap() < v);
+        for p in [0.0, 10.0, 50.0, 90.0, 95.0, 100.0] {
+            assert_eq!(agg.quantile(p), Some(v), "p{p}");
+        }
+        assert_eq!(SeriesAgg::new().quantile(50.0), None);
+        let mut shard = ShardAggregate::empty(0, 0, 1, 1);
+        shard.series[0] = agg;
+        let render = CampaignAggregate::merge_shards(&["kbps".to_owned()], &[shard]).render();
+        assert!(
+            render.contains(&format!("p10 {v:.6} p50 {v:.6} p90 {v:.6} p95 {v:.6}")),
+            "{render}"
+        );
     }
 
     #[test]

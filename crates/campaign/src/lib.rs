@@ -143,7 +143,7 @@ pub struct CampaignPlan {
     /// shard count is refused rather than silently mixed.
     pub shards: usize,
     /// Worker threads; `None` defers to `MEE_SWEEP_THREADS` / host
-    /// parallelism exactly like [`mee_sweep::Sweep::new`].
+    /// parallelism exactly like [`mee_sweep::Sweep::from_env`].
     pub threads: Option<usize>,
     /// Checkpoint directory; `None` disables checkpointing (the campaign
     /// still runs, aggregates in memory only).

@@ -276,10 +276,9 @@ mod tests {
             trojan_candidates: 96,
             ..ChannelConfig::sweep_setup()
         };
-        let plan = crate::experiments::SweepPlan::new(2019, 16);
-        let runs = plan
-            .runner()
-            .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
+        let runs = mee_sweep::Sweep::from_env()
+            .unwrap()
+            .try_seed_sweep(2019, 16, |spec| {
                 crate::experiments::run_fig6_with(spec.seed, 24, &cfg)
             })
             .unwrap();

@@ -23,13 +23,10 @@ use std::fmt;
 
 use mee_faults::{FaultInjector, FaultIntensity, FaultPlan, FaultTargets};
 use mee_rng::stream_seed;
-use mee_sweep::SessionSpec;
 use mee_types::{Cycles, ModelError, VirtAddr, PAGE_SIZE};
 
 use crate::channel::{random_bits, ChannelConfig, ReliableLink, Session};
 use crate::setup::AttackSetup;
-
-use super::sweep::SweepPlan;
 
 /// One intensity's row of the resilience table.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,23 +274,6 @@ pub fn run_resilience(seed: u64, bits: usize) -> Result<ResilienceResult, ModelE
         });
     }
     Ok(ResilienceResult { seed, bits, points })
-}
-
-/// Runs [`run_resilience`] once per session of `plan`, in parallel through
-/// the sweep runner; results are in session order and bit-identical to
-/// serial execution for any thread count.
-///
-/// # Errors
-///
-/// Returns the lowest-indexed failing session's error, deterministically.
-pub fn run_resilience_sweep(
-    plan: &SweepPlan,
-    bits: usize,
-) -> Result<Vec<(SessionSpec, ResilienceResult)>, ModelError> {
-    plan.runner()
-        .try_seed_sweep(plan.root_seed, plan.sessions, |spec| {
-            run_resilience(spec.seed, bits).map(|r| (spec, r))
-        })
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Environment variable pinning the worker-thread count of every sweep
-/// built with [`Sweep::new`].
+/// built with [`Sweep::from_env`].
 pub const THREADS_ENV: &str = "MEE_SWEEP_THREADS";
 
 /// A rejected `MEE_SWEEP_THREADS` override: the raw value that failed to
@@ -171,28 +171,11 @@ pub struct Sweep {
     threads: usize,
 }
 
-impl Default for Sweep {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sweep {
     /// A sweep sized from the environment: `MEE_SWEEP_THREADS` if set,
-    /// otherwise the host's available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MEE_SWEEP_THREADS` is set but not a positive integer — a
-    /// typo'd override must never silently fall back to a default. Use
-    /// [`Sweep::from_env`] to handle the error instead.
-    pub fn new() -> Self {
-        Self::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The fallible form of [`Sweep::new`]: reads `MEE_SWEEP_THREADS` and
-    /// reports a bad override as a value instead of panicking, so binaries
-    /// can exit with a usage message the way they do for bad CLI flags.
+    /// otherwise the host's available parallelism. A bad override comes
+    /// back as a value, never a silent default, so binaries can exit with
+    /// a usage message the way they do for bad CLI flags.
     ///
     /// # Errors
     ///

@@ -2,10 +2,10 @@
 //! to decoded bits, exercised through the public facade only.
 
 use mee_covert::attack::channel::{random_bits, ChannelConfig, Session};
-use mee_covert::attack::experiments::SweepPlan;
 use mee_covert::attack::recon::eviction::{eviction_test, find_eviction_set};
 use mee_covert::attack::threshold::LatencyClassifier;
 use mee_covert::prelude::*;
+use mee_covert::sweep::Sweep;
 use mee_covert::testbed;
 
 #[test]
@@ -53,11 +53,10 @@ fn channel_works_across_sixteen_seeds() {
     // order (identical to a serial run for any worker count), and a session
     // that fails to establish counts as a failure rather than aborting the
     // pool.
-    let plan = SweepPlan::new(testbed::SEED, 16);
     let cfg = ChannelConfig::sweep_setup();
-    let outcomes = plan.runner().seed_sweep(
-        plan.root_seed,
-        plan.sessions,
+    let outcomes = Sweep::from_env().unwrap().seed_sweep(
+        testbed::SEED,
+        16,
         |spec| -> Result<f64, ModelError> {
             let mut setup = testbed::noisy_setup(spec.seed)?;
             let session = Session::establish(&mut setup, &cfg)?;

@@ -5,10 +5,11 @@
 
 use mee_covert::attack::channel::ChannelConfig;
 use mee_covert::attack::experiments::{
-    run_channel_sweep, run_fig4, run_fig6_with, run_fig7, run_fig8, run_headline, run_timers,
-    NoiseEnvironment, SweepPlan,
+    channel_point, run_fig4, run_fig6_with, run_fig7, run_fig8, run_headline, run_timers,
+    NoiseEnvironment,
 };
 use mee_covert::engine::HitLevel;
+use mee_covert::sweep::Sweep;
 use mee_covert::testbed;
 
 #[test]
@@ -63,8 +64,11 @@ fn figure6_channel_statistics_pool_sixteen_seeds() {
     // sessions, seeds split from the workspace root, run through the
     // parallel sweep runner (bit-identical to serial for any thread
     // count). The channel's §5.4 claims must hold pooled and per session.
-    let plan = SweepPlan::new(testbed::SEED, 16);
-    let points = run_channel_sweep(&plan, &ChannelConfig::sweep_setup(), 24).unwrap();
+    let cfg = ChannelConfig::sweep_setup();
+    let points = Sweep::from_env()
+        .unwrap()
+        .try_seed_sweep(testbed::SEED, 16, |spec| channel_point(spec.seed, &cfg, 24))
+        .unwrap();
     assert_eq!(points.len(), 16);
     let total_bits: usize = points.iter().map(|p| p.bits).sum();
     let total_errors: usize = points.iter().map(|p| p.bit_errors).sum();
@@ -73,27 +77,24 @@ fn figure6_channel_statistics_pool_sixteen_seeds() {
         pooled_rate < 0.08,
         "pooled error rate {pooled_rate} over {total_bits} bits"
     );
-    for p in &points {
+    for (i, p) in points.iter().enumerate() {
         // No catastrophic session hides inside a good pool…
         assert!(
             p.error_rate() < 0.25,
-            "session {} (seed {}): {}",
-            p.index,
+            "session {i} (seed {}): {}",
             p.seed,
             p.error_rate()
         );
         // …every session hits the paper's ~35 KBps operating point…
         assert!(
             (30.0..=40.0).contains(&p.kbps),
-            "session {}: {} KBps",
-            p.index,
+            "session {i}: {} KBps",
             p.kbps
         );
         // …and single-way probes stay far below P+P's 3500-cycle sweeps.
         assert!(
             p.probe_p95.raw() < 1_500,
-            "session {}: p95 {}",
-            p.index,
+            "session {i}: p95 {}",
             p.probe_p95
         );
     }

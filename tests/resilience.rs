@@ -9,11 +9,10 @@
 //!   costs retransmissions, never correctness.
 
 use mee_covert::attack::channel::{random_bits, ChannelConfig, ReliableLink};
-use mee_covert::attack::experiments::{
-    run_resilience, run_resilience_sweep, session_fault_targets, SweepPlan,
-};
+use mee_covert::attack::experiments::{run_resilience, session_fault_targets};
 use mee_covert::attack::setup::AttackSetup;
 use mee_covert::faults::{FaultEvent, FaultInjector, FaultIntensity, FaultKind, FaultPlan};
+use mee_covert::sweep::Sweep;
 use mee_covert::testbed;
 use mee_covert::types::Cycles;
 
@@ -23,11 +22,9 @@ const BITS: usize = 48;
 /// workspace seed (session i replays standalone as
 /// `run_resilience(stream_seed(SEED, i), BITS)`).
 fn pooled_tables() -> Vec<mee_covert::attack::experiments::ResilienceResult> {
-    run_resilience_sweep(&SweepPlan::new(testbed::SEED, 3).threads(2), BITS)
+    Sweep::with_threads(2)
+        .try_seed_sweep(testbed::SEED, 3, |spec| run_resilience(spec.seed, BITS))
         .expect("resilience sweep")
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
 }
 
 #[test]
