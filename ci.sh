@@ -111,4 +111,8 @@ echo "== perfbench"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
 python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 >/dev/null
+# The traced run exits non-zero if a traced pass diverges from the untraced
+# passes or a replayed hit/miss disagrees with the recording, so tracing
+# on/off identity is checked on the workloads production runs.
+python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 1 >/dev/null
 echo "ci.sh: all checks passed"

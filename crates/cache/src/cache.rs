@@ -296,6 +296,39 @@ impl SetAssocCache {
         self.stats.invalidations += 1;
     }
 
+    /// The `(set, way)` a fill of `line` would take without evicting: the
+    /// set's lowest empty way, the one [`Self::access`] picks on a miss.
+    /// `None` when `line` is resident or its set is full. Read-only: no
+    /// policy or statistics update.
+    #[inline]
+    pub fn free_way(&self, line: LineAddr) -> Option<(usize, usize)> {
+        let set = self.set_of(line);
+        let empty = (!self.valid[set]).trailing_zeros() as usize;
+        if empty >= self.cfg.ways || self.find_way(set, line).is_some() {
+            return None;
+        }
+        Some((set, empty))
+    }
+
+    /// Applies a miss that fills the empty `way` of `set` and the
+    /// invalidation of the filled line as one update: the statistics and
+    /// the policy's `on_fill` then `on_invalidate`, in that order. Tags,
+    /// valid masks and the resident count end where they started, so for
+    /// `(set, way)` returned by [`Self::free_way`] for `line` this equals
+    /// [`Self::access`] of `line` followed by [`Self::invalidate`] of it.
+    #[inline]
+    pub fn fill_then_invalidate(&mut self, set: usize, way: usize) {
+        debug_assert_eq!(
+            self.valid[set] >> way & 1,
+            0,
+            "way {way} of set {set} is occupied"
+        );
+        self.stats.misses += 1;
+        self.policy.on_fill(set, way);
+        self.policy.on_invalidate(set, way);
+        self.stats.invalidations += 1;
+    }
+
     /// Non-destructive residence check (no policy or stats update).
     pub fn contains(&self, line: LineAddr) -> bool {
         self.find_way(self.set_of(line), line).is_some()
@@ -727,6 +760,103 @@ mod tests {
                         bulk.access(LineAddr::new(a)),
                         serial.access(LineAddr::new(a))
                     );
+                }
+            },
+        );
+    }
+
+    /// `fill_then_invalidate` at the way `free_way` names equals `access`
+    /// followed by `invalidate` of the line, for every policy, from seeded
+    /// random set states: same statistics and residents after every op,
+    /// and the same policy state, read back through the victims of a burst
+    /// of plain and way-masked fills (`TrueLru`'s clock and
+    /// `RandomEviction`'s RNG included). `free_way` must refuse exactly the
+    /// resident lines and full sets.
+    #[test]
+    fn fill_then_invalidate_matches_access_then_invalidate() {
+        use crate::policy::{Fifo, Nru, RandomEviction, Srrip};
+        check(
+            "fill_then_invalidate_matches_access_then_invalidate",
+            &PropConfig::from_env(256),
+            |rng| {
+                const SETS: usize = 4;
+                let policy = rng.random_range(0u64..6);
+                let seed = rng.random_range(0u64..1000);
+                let ways = pick(rng, &[1usize, 2, 4, 8]);
+                let mk = || -> Policy {
+                    match policy {
+                        0 => TreePlru::new().into(),
+                        1 => TrueLru::new().into(),
+                        2 => Fifo::new().into(),
+                        3 => Nru::new().into(),
+                        4 => Srrip::new().into(),
+                        _ => RandomEviction::with_seed(seed).into(),
+                    }
+                };
+                let cfg = CacheConfig::from_capacity(SETS * ways * 64, ways, 64).unwrap();
+                let mut fused = SetAssocCache::new(cfg, mk());
+                let mut split = SetAssocCache::new(cfg, mk());
+                let universe = (2 * SETS * ways) as u64;
+                for _ in 0..rng.random_range(1usize..300) {
+                    let line = LineAddr::new(rng.random_range(0..universe));
+                    match rng.random_range(0u8..5) {
+                        0 => assert_eq!(fused.access(line), split.access(line)),
+                        1 => assert_eq!(fused.invalidate(line), split.invalidate(line)),
+                        2 => {
+                            let mut mask =
+                                vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
+                            mask[rng.random_range(0..ways)] = true;
+                            assert_eq!(
+                                fused.access_in_ways(line, &mask),
+                                split.access_in_ways(line, &mask)
+                            );
+                        }
+                        _ => {
+                            let set = split.set_of(line);
+                            match fused.free_way(line) {
+                                Some((s, way)) => {
+                                    assert_eq!(s, set);
+                                    fused.fill_then_invalidate(set, way);
+                                    let r = split.access(line);
+                                    assert!(!r.hit && r.evicted.is_none(), "{r:?}");
+                                    assert_eq!(split.find_way(set, line), Some(way));
+                                    assert!(split.invalidate(line));
+                                }
+                                None => {
+                                    assert!(
+                                        split.contains(line) || split.set_occupancy(set) == ways
+                                    );
+                                    for c in [&mut fused, &mut split] {
+                                        c.access(line);
+                                        c.invalidate(line);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    assert_eq!(fused.stats(), split.stats());
+                    assert_eq!(fused.occupancy(), split.occupancy());
+                    assert_eq!(fused.valid, split.valid);
+                }
+                let mut fused_lines: Vec<_> = fused.resident_lines().collect();
+                let mut split_lines: Vec<_> = split.resident_lines().collect();
+                fused_lines.sort_unstable();
+                split_lines.sort_unstable();
+                assert_eq!(fused_lines, split_lines);
+                // Way-masked fills read policy state that plain fills never
+                // reach (tree-PLRU bits shared with an empty way).
+                for _ in 0..4 * SETS * ways {
+                    let line = LineAddr::new(rng.random_range(0..2 * universe));
+                    if rng.random_range(0u8..2) == 0 {
+                        assert_eq!(fused.access(line), split.access(line));
+                    } else {
+                        let mut mask = vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
+                        mask[rng.random_range(0..ways)] = true;
+                        assert_eq!(
+                            fused.access_in_ways(line, &mask),
+                            split.access_in_ways(line, &mask)
+                        );
+                    }
                 }
             },
         );

@@ -48,8 +48,7 @@ impl WindowAction for MidWindowTouch {
             cpu.busy_until(at.start + at.len / 2);
             return Ok(Flow::Continue);
         }
-        cpu.read(self.target)?;
-        cpu.clflush(self.target)?;
+        cpu.read_flush(self.target)?;
         cpu.mfence();
         Ok(Flow::Wait)
     }
@@ -111,9 +110,10 @@ impl WindowAction for SetProbe {
             return Ok(Flow::Continue);
         }
         if let Some(&addr) = self.eviction_set.get(at.k - 1) {
-            cpu.read(addr)?;
             if self.flush {
-                cpu.clflush(addr)?;
+                cpu.read_flush(addr)?;
+            } else {
+                cpu.read(addr)?;
             }
             return Ok(Flow::Continue);
         }

@@ -120,8 +120,7 @@ fn find_conflicting(
             setup.sync_clocks();
             {
                 let mut cpu = handle(setup, prober);
-                cpu.read(candidate)?;
-                cpu.clflush(candidate)?;
+                cpu.read_flush(candidate)?;
                 cpu.mfence();
             }
             setup.sync_clocks();
@@ -134,12 +133,7 @@ fn find_conflicting(
             }
             // A miss on the re-probe means conflict.
             setup.sync_clocks();
-            let lat = {
-                let mut cpu = handle(setup, prober);
-                let lat = cpu.read(candidate)?;
-                cpu.clflush(candidate)?;
-                lat
-            };
+            let lat = handle(setup, prober).read_flush(candidate)?;
             if classifier.is_versions_miss(lat) {
                 votes += 1;
             }
@@ -164,6 +158,9 @@ impl Session {
     /// # Errors
     ///
     /// * Propagates machine errors and Algorithm 1 failures.
+    /// * Returns [`ModelError::InvalidConfig`] before any simulated op if
+    ///   `trojan_candidates` or `spy_candidates` exceeds the pages its
+    ///   tenant maps (one candidate per page).
     /// * Returns [`ModelError::InvalidConfig`] if no monitor address is
     ///   found (raise `spy_candidates`; each conflicts with probability
     ///   1/8).
@@ -188,6 +185,20 @@ impl Session {
         cfg: &ChannelConfig,
     ) -> Result<Self, ModelError> {
         cfg.validate()?;
+        for (field, count, tenant) in [
+            ("trojan_candidates", cfg.trojan_candidates, sender),
+            ("spy_candidates", cfg.spy_candidates, receiver),
+        ] {
+            if count > tenant.pages {
+                return Err(ModelError::InvalidConfig {
+                    reason: format!(
+                        "{field} = {count} exceeds the {} pages the tenant maps \
+                         (one candidate per page)",
+                        tenant.pages
+                    ),
+                });
+            }
+        }
         // Host-time span over the whole establishment phase (Algorithm 1 +
         // monitor search) — wall-clock only, recorded at the end, so the
         // simulated transcript is untouched.
@@ -582,6 +593,41 @@ mod tests {
             session.transmit(&mut setup, &[true, false]),
             Err(ModelError::InvalidConfig { .. })
         ));
+    }
+
+    /// More candidates than the tenant maps pages is a typed config error,
+    /// returned before any simulated op runs (no core clock moves).
+    #[test]
+    fn oversized_candidate_sets_are_typed_errors() {
+        for cfg in [
+            ChannelConfig {
+                trojan_candidates: 193,
+                ..ChannelConfig::default()
+            },
+            ChannelConfig {
+                spy_candidates: 500,
+                ..ChannelConfig::default()
+            },
+        ] {
+            let mut setup = AttackSetup::quiet(79).unwrap();
+            let clocks = (
+                setup.machine.core_now(setup.spy.core),
+                setup.machine.core_now(setup.trojan.core),
+            );
+            match Session::establish(&mut setup, &cfg) {
+                Err(ModelError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("192 pages"), "{reason}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(
+                (
+                    setup.machine.core_now(setup.spy.core),
+                    setup.machine.core_now(setup.trojan.core)
+                ),
+                clocks
+            );
+        }
     }
 
     #[test]

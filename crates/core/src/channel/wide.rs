@@ -205,8 +205,7 @@ impl WindowAction for LaneSweep {
             } else {
                 (self.rotation + (2 * n - 1 - self.pos)) % n
             };
-            cpu.read(set[idx])?;
-            cpu.clflush(set[idx])?;
+            cpu.read_flush(set[idx])?;
             self.pos += 1;
             if self.pos == n {
                 cpu.mfence();

@@ -78,8 +78,7 @@ impl MeeNoiseActor {
 impl Actor for MeeNoiseActor {
     fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
         let va = self.base + self.cursor as u64;
-        cpu.read(va)?;
-        cpu.clflush(va)?;
+        cpu.read_flush(va)?;
         self.cursor = (self.cursor + self.stride) % self.span;
         Ok(StepOutcome::Running)
     }
@@ -133,8 +132,7 @@ impl MemStressActor {
 impl Actor for MemStressActor {
     fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError> {
         let va = self.base + self.cursor as u64;
-        cpu.read(va)?;
-        cpu.clflush(va)?;
+        cpu.read_flush(va)?;
         self.cursor = (self.cursor + self.stride) % self.span;
         Ok(StepOutcome::Running)
     }

@@ -53,15 +53,13 @@ pub fn eviction_trial(
     // Prime: load every candidate's versions line (and flush the data line
     // so later probes reach the MEE again).
     for &c in &candidates {
-        cpu.read(c)?;
-        cpu.clflush(c)?;
+        cpu.read_flush(c)?;
     }
     cpu.mfence();
     // Probe: any versions miss means something was evicted.
     let mut any_evicted = false;
     for &c in &candidates {
-        let lat = cpu.read(c)?;
-        cpu.clflush(c)?;
+        let lat = cpu.read_flush(c)?;
         if classifier.is_versions_miss(lat) {
             any_evicted = true;
         }

@@ -41,15 +41,12 @@ pub fn eviction_test(
 ) -> Result<Cycles, ModelError> {
     // access victim; flush victim (load versions data into the MEE cache
     // but flush the data from the LLC).
-    cpu.read(victim)?;
-    cpu.clflush(victim)?;
+    cpu.read_flush(victim)?;
     cpu.mfence();
     let _ = cpu.sweep_read_flush(set)?;
     cpu.mfence();
     // measure time to access victim; flush victim.
-    let time = cpu.read(victim)?;
-    cpu.clflush(victim)?;
-    Ok(time)
+    cpu.read_flush(victim)
 }
 
 /// Majority-voted eviction test: runs [`eviction_test`] `reps` times and

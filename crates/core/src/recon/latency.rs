@@ -111,9 +111,8 @@ pub fn census_for_stride(
         for pass in 0..=passes {
             for i in 0..samples {
                 let va = base + (i * stride) as u64;
-                let lat = cpu.read(va)?;
+                let lat = cpu.read_flush(va)?;
                 let level = cpu.machine().last_mee_hit();
-                cpu.clflush(va)?;
                 if pass > 0 {
                     census.samples.push(LatencySample {
                         latency: lat,

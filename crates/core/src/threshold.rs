@@ -72,12 +72,10 @@ impl LatencyClassifier {
     ) -> Result<Self, ModelError> {
         assert!(samples >= 4, "calibration needs at least 4 samples");
         // Warm: ensure the versions line is resident.
-        cpu.read(probe)?;
-        cpu.clflush(probe)?;
+        cpu.read_flush(probe)?;
         let mut hit_total = 0u64;
         for _ in 0..samples {
-            let lat = cpu.read(probe)?;
-            cpu.clflush(probe)?;
+            let lat = cpu.read_flush(probe)?;
             hit_total += lat.raw();
         }
         let hit_mean = hit_total / samples as u64;
@@ -85,8 +83,7 @@ impl LatencyClassifier {
         let mut deep_total = 0u64;
         let mut deep_count = 0u64;
         for &addr in deep.iter().take(samples) {
-            let lat = cpu.read(addr)?;
-            cpu.clflush(addr)?;
+            let lat = cpu.read_flush(addr)?;
             deep_total += lat.raw();
             deep_count += 1;
         }

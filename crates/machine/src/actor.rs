@@ -121,6 +121,16 @@ impl<'m> CoreHandle<'m> {
         self.machine.clflush(self.core, self.proc, va)
     }
 
+    /// Loads `va`, then flushes its line; returns the load's elapsed
+    /// cycles. See [`Machine::read_flush`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates machine errors.
+    pub fn read_flush(&mut self, va: VirtAddr) -> Result<Cycles, ModelError> {
+        self.machine.read_flush(self.core, self.proc, va)
+    }
+
     /// Read-then-flush sweep over `addrs`, in order — the establishment
     /// batch primitive. Bit-identical to the per-op loop; see
     /// [`Machine::sweep_read_flush`].

@@ -537,38 +537,19 @@ impl Machine {
     /// read *and* its flush).
     fn clflush_at(&mut self, core: CoreId, proc: ProcId, pa: PhysAddr) -> Cycles {
         let line = pa.line();
-        let issued = self.cores[core.index()].now;
         for c in &mut self.cores {
             c.l1.invalidate(line);
             c.l2.invalidate(line);
         }
         self.llc.invalidate(line);
-        let lat = self.cfg.timing.clflush;
-        let elapsed = self.advance_with_stalls(core, lat);
-        if self.obs.is_enabled() {
-            self.obs.sink.record(
-                issued,
-                EventKind::MemOp {
-                    core: core.index() as u32,
-                    proc: proc.index() as u32,
-                    op: MemOpKind::Clflush,
-                    line: line.raw(),
-                    served: None,
-                    mee_level: None,
-                    latency: elapsed.raw(),
-                },
-            );
-            if let Some(m) = self.obs.metrics.as_mut() {
-                m.record_mem_op(
-                    core.index(),
-                    proc.index(),
-                    MemOpKind::Clflush,
-                    None,
-                    None,
-                    elapsed.raw(),
-                );
-            }
-        }
+        self.charge_clflush(core, proc, line)
+    }
+
+    /// The timing half of a `clflush` of `line`, once the line has left
+    /// every on-chip cache: the latency plus stalls, and its trace record.
+    fn charge_clflush(&mut self, core: CoreId, proc: ProcId, line: LineAddr) -> Cycles {
+        let elapsed = self.advance_with_stalls(core, self.cfg.timing.clflush);
+        self.record_mem_op(core, proc, MemOpKind::Clflush, line, None, elapsed);
         elapsed
     }
 
@@ -578,10 +559,11 @@ impl Machine {
     /// trojan's eviction sweeps. Per-op semantics (latencies, stall
     /// draws, cache and MEE effects, trace events) are exactly those of
     /// the equivalent [`Self::read`] + [`Self::clflush`] sequence — the
-    /// differential tier holds the two paths bit-identical. The batch
-    /// exists to pay host overheads once per address instead of twice
-    /// (core validation, page translation) and to keep the whole loop in
-    /// one call frame.
+    /// differential tier holds the two paths bit-identical. The batch pays
+    /// core validation and page translation once per address instead of
+    /// twice, keeps the whole loop in one call frame, and applies a pair
+    /// whose line no cache level has to evict for in one pass (see
+    /// [`Self::sweep_pair_at`]).
     ///
     /// Returns the total elapsed cycles across the batch.
     ///
@@ -600,7 +582,8 @@ impl Machine {
         let mut total = Cycles::ZERO;
         let step = |m: &mut Self, va: VirtAddr| -> Result<Cycles, ModelError> {
             let pa = m.translate_cached(proc, va)?;
-            m.sweep_pair_at(core, proc, pa)
+            let (read, flush) = m.sweep_pair_at(core, proc, pa)?;
+            Ok(read + flush)
         };
         if rev {
             for &va in addrs.iter().rev() {
@@ -614,27 +597,97 @@ impl Machine {
         Ok(total)
     }
 
-    /// One read-then-`clflush` pair of an establishment sweep: literally
-    /// [`Self::mem_op_at`] followed by [`Self::clflush_at`], so
-    /// bit-identity with the split `read` + `clflush` sequence holds by
-    /// construction — same calls, same order, including the LLC victim
-    /// back-invalidation landing *between* the load and the flush, and
-    /// the flush never running when the MEE walk errors. The batch's
-    /// wins stay upstream: one core validation, one page translation,
-    /// and one call frame per address instead of two.
+    /// A load of `va` followed by a `clflush` of its line: one pair of
+    /// [`Self::sweep_read_flush`]. Returns the load's elapsed cycles (the
+    /// flush's are charged to the core clock as usual).
     ///
-    /// Per-level fusion of the two halves is not bit-identical in general
-    /// (`DESIGN.md`, "The batched sweep pair"); the seeded differential
-    /// test `sweep_matches_split_under_l1_resident_llc_victims` holds the
-    /// batch to the split path.
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::read`]; the flush does not run when the
+    /// load fails.
+    pub fn read_flush(
+        &mut self,
+        core: CoreId,
+        proc: ProcId,
+        va: VirtAddr,
+    ) -> Result<Cycles, ModelError> {
+        self.check_core(core)?;
+        let pa = self.translate_cached(proc, va)?;
+        self.sweep_pair_at(core, proc, pa).map(|(read, _)| read)
+    }
+
+    /// One read-then-`clflush` pair; returns the load's and the flush's
+    /// elapsed cycles.
+    ///
+    /// When the line is absent from the sweeping core's L1 and L2 and from
+    /// the LLC, and each of those sets has a free way (the attack keeps
+    /// nearly every set empty), the pair's net cache effect is local: each
+    /// level counts a miss and an invalidation and runs its policy's
+    /// `on_fill` then `on_invalidate` on the free way, while tags, valid
+    /// masks and resident counts end where they started
+    /// ([`SetAssocCache::fill_then_invalidate`]). No level evicts, so no
+    /// back-invalidation can land between the load and the flush, and by
+    /// inclusion no other core caches the line, so the flush's broadcast
+    /// to their private caches would find nothing. The DRAM access, the
+    /// MEE walk, both clock advances and the trace records run as in the
+    /// split halves, in the same order. If the walk fails, the line is
+    /// left filled at all three levels, as the split load leaves it.
+    ///
+    /// Every other state runs the split halves, [`Self::mem_op_at`] then
+    /// [`Self::clflush_at`] (`DESIGN.md`, "The batched sweep pair"). The
+    /// seeded differential test
+    /// `sweep_matches_split_under_l1_resident_llc_victims` holds both paths
+    /// to the split `read` + `clflush` sequence.
     fn sweep_pair_at(
         &mut self,
         core: CoreId,
         proc: ProcId,
         pa: PhysAddr,
-    ) -> Result<Cycles, ModelError> {
-        let (read_elapsed, _, _) = self.mem_op_at(core, proc, pa, None)?;
-        Ok(read_elapsed + self.clflush_at(core, proc, pa))
+    ) -> Result<(Cycles, Cycles), ModelError> {
+        let line = pa.line();
+        let c = &self.cores[core.index()];
+        let (Some(l1), Some(l2), Some(llc)) = (
+            c.l1.free_way(line),
+            c.l2.free_way(line),
+            self.llc.free_way(line),
+        ) else {
+            let (read, _, _) = self.mem_op_at(core, proc, pa, None)?;
+            return Ok((read, self.clflush_at(core, proc, pa)));
+        };
+        debug_assert!(
+            (0..self.cores.len()).all(|i| !self.core_caches_line(CoreId::new(i), line)),
+            "inclusion: a private cache holds line {line:?} absent from the LLC"
+        );
+        let kind = self.data_region(pa)?;
+        self.last_mee_hit = None;
+        let t = &self.cfg.timing;
+        let on_chip = t.l1_hit + t.l2_hit + t.llc_hit;
+        let lat = match self.fetch_line(core, line, kind, None, on_chip) {
+            Ok(lat) => lat,
+            Err(e) => {
+                // The split load has filled all three levels by the time
+                // its walk fails; leave the line where it would be.
+                let c = &mut self.cores[core.index()];
+                c.l1.access(line);
+                c.l2.access(line);
+                self.llc.access(line);
+                return Err(e);
+            }
+        };
+        let c = &mut self.cores[core.index()];
+        c.l1.fill_then_invalidate(l1.0, l1.1);
+        c.l2.fill_then_invalidate(l2.0, l2.1);
+        self.llc.fill_then_invalidate(llc.0, llc.1);
+        let read = self.advance_with_stalls(core, lat);
+        self.record_mem_op(
+            core,
+            proc,
+            MemOpKind::Read,
+            line,
+            Some(ServedAt::Dram),
+            read,
+        );
+        Ok((read, self.charge_clflush(core, proc, line)))
     }
 
     /// A serializing fence (ordering is implicit in the sequential model;
@@ -941,11 +994,7 @@ impl Machine {
         pa: PhysAddr,
         store: Option<u64>,
     ) -> Result<(Cycles, LineAddr, RegionKind), ModelError> {
-        let kind = self.layout.classify(pa)?;
-        if kind == RegionKind::IntegrityTree {
-            // Software can never map tree frames; defense in depth.
-            return Err(ModelError::BadPhysAddr { pa });
-        }
+        let kind = self.data_region(pa)?;
         let line = pa.line();
         let issued = self.cores[core.index()].now;
         let t = &self.cfg.timing;
@@ -978,36 +1027,7 @@ impl Machine {
                 if !llc_res.hit {
                     reached_dram = true;
                     served = ServedAt::Dram;
-                    lat += self.dram.access(line);
-                    if kind == RegionKind::ProtectedData {
-                        // The walk reaches the MEE after the on-chip lookups
-                        // and the data fetch have elapsed on this core.
-                        let arrival = self.cores[core.index()].now + lat;
-                        // Split borrow: the walk needs the MEE, the DRAM
-                        // model, and the event sink at once.
-                        let Machine { mee, dram, obs, .. } = self;
-                        let hit_level = match store {
-                            Some(digest) => {
-                                let access =
-                                    mee.write_traced(line, digest, arrival, dram, &mut obs.sink)?;
-                                lat += access.latency;
-                                access.hit_level
-                            }
-                            None => {
-                                let r = mee.read_traced(line, arrival, dram, &mut obs.sink)?;
-                                lat += r.access.latency;
-                                r.access.hit_level
-                            }
-                        };
-                        self.last_mee_hit = Some(hit_level);
-                        if self.obs.metrics.is_some() {
-                            if let Some(set) = self.mee.versions_set(line) {
-                                if let Some(m) = self.obs.metrics.as_mut() {
-                                    m.record_mee_set_walk(set);
-                                }
-                            }
-                        }
-                    }
+                    lat = self.fetch_line(core, line, kind, store, lat)?;
                 }
             }
         }
@@ -1029,39 +1049,115 @@ impl Machine {
         }
 
         let elapsed = self.advance_with_stalls(core, lat);
-        if self.obs.is_enabled() {
-            let op = if store.is_some() {
-                MemOpKind::Write
-            } else {
-                MemOpKind::Read
-            };
-            let mee_level = self
-                .last_mee_hit
-                .map(|h| WalkLevel::from_ladder_index(h.ladder_index()));
-            self.obs.sink.record(
-                issued,
-                EventKind::MemOp {
-                    core: core.index() as u32,
-                    proc: proc.index() as u32,
-                    op,
-                    line: line.raw(),
-                    served: Some(served),
-                    mee_level,
-                    latency: elapsed.raw(),
-                },
-            );
-            if let Some(m) = self.obs.metrics.as_mut() {
-                m.record_mem_op(
-                    core.index(),
-                    proc.index(),
-                    op,
-                    Some(served),
-                    mee_level,
-                    elapsed.raw(),
-                );
+        let op = if store.is_some() {
+            MemOpKind::Write
+        } else {
+            MemOpKind::Read
+        };
+        self.record_mem_op(core, proc, op, line, Some(served), elapsed);
+        Ok((elapsed, line, kind))
+    }
+
+    /// The region of `pa`, refusing integrity-tree frames.
+    fn data_region(&self, pa: PhysAddr) -> Result<RegionKind, ModelError> {
+        let kind = self.layout.classify(pa)?;
+        if kind == RegionKind::IntegrityTree {
+            // Software can never map tree frames; defense in depth.
+            return Err(ModelError::BadPhysAddr { pa });
+        }
+        Ok(kind)
+    }
+
+    /// The miss path below the LLC: the DRAM fetch of `line` and, for
+    /// protected data, the MEE walk (a write walk when `store` carries a
+    /// digest), setting [`Self::last_mee_hit`] and the walk's set metric.
+    /// `lat` is the latency elapsed on this core before the fetch; returns
+    /// it plus the fetch and the walk.
+    fn fetch_line(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        kind: RegionKind,
+        store: Option<u64>,
+        mut lat: Cycles,
+    ) -> Result<Cycles, ModelError> {
+        lat += self.dram.access(line);
+        if kind != RegionKind::ProtectedData {
+            return Ok(lat);
+        }
+        // The walk reaches the MEE after the on-chip lookups and the data
+        // fetch have elapsed on this core.
+        let arrival = self.cores[core.index()].now + lat;
+        // Split borrow: the walk needs the MEE, the DRAM model, and the
+        // event sink at once.
+        let Machine { mee, dram, obs, .. } = self;
+        let hit_level = match store {
+            Some(digest) => {
+                let access = mee.write_traced(line, digest, arrival, dram, &mut obs.sink)?;
+                lat += access.latency;
+                access.hit_level
+            }
+            None => {
+                let r = mee.read_traced(line, arrival, dram, &mut obs.sink)?;
+                lat += r.access.latency;
+                r.access.hit_level
+            }
+        };
+        self.last_mee_hit = Some(hit_level);
+        if self.obs.metrics.is_some() {
+            if let Some(set) = self.mee.versions_set(line) {
+                if let Some(m) = self.obs.metrics.as_mut() {
+                    m.record_mee_set_walk(set);
+                }
             }
         }
-        Ok((elapsed, line, kind))
+        Ok(lat)
+    }
+
+    /// Records one memory op that just took `elapsed` cycles on `core` in
+    /// the event trace and the metrics (a no-op when tracing is off). The
+    /// op was issued `elapsed` before the core's clock. A load or store
+    /// (`served` is `Some`) carries the level [`Self::last_mee_hit`] names;
+    /// a `clflush` carries none.
+    #[inline]
+    fn record_mem_op(
+        &mut self,
+        core: CoreId,
+        proc: ProcId,
+        op: MemOpKind,
+        line: LineAddr,
+        served: Option<ServedAt>,
+        elapsed: Cycles,
+    ) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let issued = self.cores[core.index()].now - elapsed;
+        let mee_level = served
+            .and(self.last_mee_hit)
+            .map(|h| WalkLevel::from_ladder_index(h.ladder_index()));
+        self.obs.sink.record(
+            issued,
+            EventKind::MemOp {
+                core: core.index() as u32,
+                proc: proc.index() as u32,
+                op,
+                line: line.raw(),
+                served,
+                mee_level,
+                latency: elapsed.raw(),
+            },
+        );
+        if let Some(m) = self.obs.metrics.as_mut() {
+            m.record_mem_op(
+                core.index(),
+                proc.index(),
+                op,
+                served,
+                mee_level,
+                elapsed.raw(),
+            );
+        }
     }
 }
 
@@ -1464,56 +1560,74 @@ mod tests {
         );
     }
 
-    /// The batched sweep must remain the split `read` + `clflush`
-    /// sequence, op for op, in the one ordering a per-level fusion gets
-    /// wrong: a sweep read whose LLC eviction back-invalidates a line
-    /// still resident in the sweeping core's private caches. Set counts
-    /// are powers of two, so such a victim always lands in the same
-    /// L1/L2 set as the swept line, and `TreePlru::on_invalidate`
-    /// rewrites shared per-set tree bits — flushing the swept line before
-    /// the back-invalidation (as a fused read+flush pair would) leaves
-    /// different policy metadata than flushing it after, as the split
-    /// path does. Random workloads over a single-set TreePlru hierarchy
-    /// drive the batched and split paths on twin machines and demand
-    /// identical latencies, clocks, residency, and statistics after
-    /// every step; the test also requires the hard scenario to actually
-    /// fire.
+    /// Both sweep-pair paths must remain the split `read` + `clflush`
+    /// sequence, op for op. Twin machines run the same random workload:
+    /// machine A issues every pair through `sweep_read_flush` or
+    /// `read_flush`, machine B as a literal `read` then `clflush`, and
+    /// after every step latencies, errors, both cores' clocks, every
+    /// cache's statistics, residency and the MEE state must agree.
+    ///
+    /// The hierarchy has one set per level, so pairs alternate between the
+    /// one-pass path (every level has a free way) and the split fallback,
+    /// including the ordering a per-level fusion gets wrong: an LLC victim
+    /// back-invalidating a line the sweeping core still caches, whose
+    /// private set (power-of-two set counts) is the swept line's, so
+    /// flushing the swept line before the back-invalidation would leave
+    /// different policy state than the split order. A second core keeps
+    /// private copies of pool lines, every policy runs at L1/L2 (the MEE
+    /// policy) and at the LLC, a tampered version counter makes some pairs
+    /// fail with `IntegrityViolation` mid-walk, and some twins trace, with
+    /// equal event rings and metrics demanded. The test requires the
+    /// victim scenario, both paths, a failing pair and a traced twin to
+    /// actually occur.
     #[test]
     fn sweep_matches_split_under_l1_resident_llc_victims() {
+        use crate::config::PolicyKind;
         use mee_cache::CacheConfig;
-        use mee_rng::prop::{check, PropConfig};
+        use mee_rng::prop::{check, pick, PropConfig};
+        use mee_tree::TreeLevel;
         use std::cell::Cell;
 
-        let scenario_fired = Cell::new(false);
+        const POLICIES: [PolicyKind; 6] = [
+            PolicyKind::TreePlru,
+            PolicyKind::TrueLru,
+            PolicyKind::Fifo,
+            PolicyKind::Nru,
+            PolicyKind::Srrip,
+            PolicyKind::Random { seed: 7 },
+        ];
+        let victim_fired = Cell::new(false);
+        let one_pass = Cell::new(0usize);
+        let fallback = Cell::new(0usize);
+        let violations = Cell::new(0usize);
+        let traced = Cell::new(0usize);
         check(
             "sweep_matches_split_under_l1_resident_llc_victims",
             &PropConfig::from_env(24),
             |rng| {
+                let mee_policy = pick(rng, &POLICIES);
+                let llc_policy = pick(rng, &POLICIES);
+                let tracing = rng.random_range(0u8..3) == 0;
                 let mk = || {
                     let mut cfg = MachineConfig::small();
-                    // Single-set TreePlru hierarchy: every line contends in
-                    // the same L1/L2/LLC set, so sweep-induced LLC evictions
-                    // routinely hit lines the sweeping core still caches
-                    // privately.
-                    cfg.l1 = CacheConfig {
+                    let one_set = |ways| CacheConfig {
                         sets: 1,
-                        ways: 4,
+                        ways,
                         line_size: 64,
                     };
-                    cfg.l2 = CacheConfig {
-                        sets: 1,
-                        ways: 4,
-                        line_size: 64,
-                    };
-                    cfg.llc = CacheConfig {
-                        sets: 1,
-                        ways: 8,
-                        line_size: 64,
-                    };
-                    Machine::new(cfg).unwrap()
+                    cfg.l1 = one_set(4);
+                    cfg.l2 = one_set(4);
+                    cfg.llc = one_set(8);
+                    cfg.mee_policy = mee_policy;
+                    cfg.llc_policy = llc_policy;
+                    let mut m = Machine::new(cfg).unwrap();
+                    if tracing {
+                        m.enable_tracing(1 << 16);
+                    }
+                    m
                 };
-                let mut a = mk(); // drives sweep_read_flush
-                let mut b = mk(); // drives the split sequence
+                let mut a = mk(); // pairs through sweep_read_flush / read_flush
+                let mut b = mk(); // pairs as a split read + clflush
                 let proc_a = a.create_process(AddressSpaceKind::Enclave);
                 let proc_b = b.create_process(AddressSpaceKind::Enclave);
                 let base = VirtAddr::new(0x100_0000);
@@ -1525,65 +1639,146 @@ mod tests {
                     .map(|s| a.translate(proc_a, addr(s)).unwrap().line())
                     .collect();
                 let residency = |m: &Machine, line: LineAddr| {
-                    (m.core_caches_line(CORE0, line), m.llc().contains(line))
+                    (
+                        m.core_caches_line(CORE0, line),
+                        m.core_caches_line(CORE1, line),
+                        m.llc().contains(line),
+                    )
+                };
+                let show = |r: Result<Cycles, ModelError>| r.map_err(|e| e.to_string());
+                // The split pair on B: the flush runs only if the load did.
+                let split_pair = |b: &mut Machine, va: VirtAddr| -> Result<Cycles, ModelError> {
+                    let read = b.read(CORE0, proc_b, va)?;
+                    b.clflush(CORE0, proc_b, va)?;
+                    Ok(read)
                 };
 
                 for _ in 0..rng.random_range(20usize..60) {
-                    if rng.random_range(0u8..3) == 0 {
-                        // A sweep over 1–3 pool addresses, either direction.
-                        let n = rng.random_range(1usize..4);
-                        let addrs: Vec<VirtAddr> = (0..n)
-                            .map(|_| addr(rng.random_range(0usize..POOL)))
-                            .collect();
-                        let rev = rng.random_range(0u8..2) == 1;
-                        let before: Vec<_> = lines.iter().map(|&l| residency(&a, l)).collect();
-                        let total = a.sweep_read_flush(CORE0, proc_a, &addrs, rev).unwrap();
-                        let order: Vec<VirtAddr> = if rev {
-                            addrs.iter().rev().copied().collect()
-                        } else {
-                            addrs.clone()
-                        };
-                        let mut split = Cycles::ZERO;
-                        for &va in &order {
-                            split += b.read(CORE0, proc_b, va).unwrap();
-                            split += b.clflush(CORE0, proc_b, va).unwrap();
-                        }
-                        assert_eq!(total, split, "batch latency diverged from split");
-                        let swept: Vec<LineAddr> = order
-                            .iter()
-                            .map(|&va| b.translate(proc_b, va).unwrap().line())
-                            .collect();
-                        for (i, &l) in lines.iter().enumerate() {
-                            let (was_private, was_llc) = before[i];
-                            if was_private && was_llc && !a.llc().contains(l) && !swept.contains(&l)
-                            {
-                                // An LLC eviction back-invalidated a line the
-                                // sweeping core still held privately.
-                                scenario_fired.set(true);
+                    match rng.random_range(0u8..16) {
+                        0..=3 => {
+                            // A sweep over 1–3 pool addresses, either direction.
+                            let n = rng.random_range(1usize..4);
+                            let addrs: Vec<VirtAddr> = (0..n)
+                                .map(|_| addr(rng.random_range(0usize..POOL)))
+                                .collect();
+                            let rev = rng.random_range(0u8..2) == 1;
+                            let before: Vec<_> = lines.iter().map(|&l| residency(&a, l)).collect();
+                            let batch = show(a.sweep_read_flush(CORE0, proc_a, &addrs, rev));
+                            let order: Vec<VirtAddr> = if rev {
+                                addrs.iter().rev().copied().collect()
+                            } else {
+                                addrs.clone()
+                            };
+                            let mut split = Ok(Cycles::ZERO);
+                            for &va in &order {
+                                let read = b.read(CORE0, proc_b, va);
+                                split = match (split, read) {
+                                    (Ok(total), Ok(read)) => {
+                                        Ok(total + read + b.clflush(CORE0, proc_b, va).unwrap())
+                                    }
+                                    (_, Err(e)) => Err(e),
+                                    (Err(e), _) => Err(e),
+                                };
+                                if split.is_err() {
+                                    break;
+                                }
+                            }
+                            assert_eq!(batch, show(split), "batch diverged from split");
+                            let swept: Vec<LineAddr> = order
+                                .iter()
+                                .map(|&va| b.translate(proc_b, va).unwrap().line())
+                                .collect();
+                            for (i, &l) in lines.iter().enumerate() {
+                                let (was_private, _, was_llc) = before[i];
+                                if was_private
+                                    && was_llc
+                                    && !a.llc().contains(l)
+                                    && !swept.contains(&l)
+                                {
+                                    // An LLC eviction back-invalidated a line the
+                                    // sweeping core still held privately.
+                                    victim_fired.set(true);
+                                }
                             }
                         }
-                    } else {
-                        // A plain (unflushed) read, so the private caches
-                        // retain eviction candidates for later sweeps.
-                        let va = addr(rng.random_range(0usize..POOL));
-                        assert_eq!(
-                            a.read(CORE0, proc_a, va).unwrap(),
-                            b.read(CORE0, proc_b, va).unwrap()
-                        );
+                        4..=5 => {
+                            let va = addr(rng.random_range(0usize..POOL));
+                            let line = a.translate(proc_a, va).unwrap().line();
+                            let c = &a.cores[0];
+                            let free = c.l1.free_way(line).is_some()
+                                && c.l2.free_way(line).is_some()
+                                && a.llc.free_way(line).is_some();
+                            let counter = if free { &one_pass } else { &fallback };
+                            counter.set(counter.get() + 1);
+                            let got = show(a.read_flush(CORE0, proc_a, va));
+                            if got.is_err() {
+                                violations.set(violations.get() + 1);
+                            }
+                            assert_eq!(got, show(split_pair(&mut b, va)), "read_flush diverged");
+                        }
+                        6 => {
+                            // Corrupt one pool line's version counter in "DRAM"
+                            // on both machines: its next walk fails.
+                            let s = rng.random_range(0usize..POOL);
+                            for (m, p) in [(&mut a, proc_a), (&mut b, proc_b)] {
+                                let pa = m.translate(p, addr(s)).unwrap();
+                                let geo = *m.mee().geometry();
+                                let node = geo.walk_path(pa.line()).version;
+                                m.mee_mut()
+                                    .tree_mut()
+                                    .tamper_counter(TreeLevel::Version, node);
+                            }
+                        }
+                        op => {
+                            // A plain (unflushed) read from either core, so the
+                            // private caches retain eviction candidates.
+                            let core = if op >= 14 { CORE1 } else { CORE0 };
+                            let va = addr(rng.random_range(0usize..POOL));
+                            assert_eq!(
+                                show(a.read(core, proc_a, va)),
+                                show(b.read(core, proc_b, va))
+                            );
+                        }
                     }
-                    assert_eq!(a.core_now(CORE0), b.core_now(CORE0));
+                    for core in [CORE0, CORE1] {
+                        assert_eq!(a.core_now(core), b.core_now(core));
+                        let (ca, cb) = (&a.cores[core.index()], &b.cores[core.index()]);
+                        assert_eq!(ca.l1.stats(), cb.l1.stats());
+                        assert_eq!(ca.l2.stats(), cb.l2.stats());
+                    }
                     assert_eq!(a.llc().stats(), b.llc().stats());
                     assert_eq!(a.mee().stats(), b.mee().stats());
+                    assert_eq!(a.last_mee_hit(), b.last_mee_hit());
                     for &l in &lines {
                         assert_eq!(residency(&a, l), residency(&b, l));
                     }
                 }
+                // Policy state, read back through the victims of a burst
+                // of plain reads over the whole pool.
+                for s in 0..POOL {
+                    assert_eq!(
+                        show(a.read(CORE0, proc_a, addr(s))),
+                        show(b.read(CORE0, proc_b, addr(s)))
+                    );
+                    for &l in &lines {
+                        assert_eq!(residency(&a, l), residency(&b, l));
+                    }
+                }
+                if tracing {
+                    traced.set(traced.get() + 1);
+                    assert_eq!(a.obs().events(), b.obs().events(), "event rings diverged");
+                    assert_eq!(a.obs().metrics, b.obs().metrics, "metrics diverged");
+                }
             },
         );
         assert!(
-            scenario_fired.get(),
+            victim_fired.get(),
             "workloads never exercised an LLC eviction back-invalidating a \
              privately cached line mid-sweep"
         );
+        assert!(one_pass.get() > 0, "no pair took the one-pass path");
+        assert!(fallback.get() > 0, "no pair took the split fallback");
+        assert!(violations.get() > 0, "no pair failed its walk");
+        assert!(traced.get() > 0, "no twin ran with tracing on");
     }
 }

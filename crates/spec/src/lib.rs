@@ -18,7 +18,7 @@
 //! | `invalidated-way-preferred` | cache | a freshly invalidated way is the next victim under every deterministic policy |
 //! | `prm-bounds-enforced` | machine | tree lines stay off-chip, LLC inclusion holds, MEE-cached lines stay inside the PRM tree region, and bad inputs fault with typed errors |
 //! | `tree-consistency` | tree | verified reads are last-write-wins and tampers are detected with exact blast radii |
-//! | `replay-identity` | machine | identically configured machines produce identical transcripts |
+//! | `replay-identity` | machine | identically configured machines produce identical transcripts and state, with read-then-`clflush` pairs run through the sweep path on one and as split instructions on the other |
 //!
 //! # Tiers
 //!

@@ -6,12 +6,19 @@
 //! checks, after every op:
 //!
 //! - **`replay-identity`** — the machines agree op-for-op (latency, value,
-//!   MEE hit level, faults) and end with identical MEE/LLC statistics. The
-//!   whole model must be a deterministic function of its config.
+//!   MEE hit level, faults), and after every op on core clocks, palette
+//!   residency in every on-chip cache, and MEE/LLC contents and statistics.
+//!   The whole model must be a deterministic function of its config. A
+//!   read-then-`clflush` pair op (`p<core>.<palette>`) runs through the
+//!   production sweep path (`sweep_read_flush`) on machine A and as a
+//!   literal `read` + `clflush` on machine B, so the same check holds the
+//!   two paths equal.
 //! - **`clflush-spares-mee-cache`** — `clflush` removes the target line from
 //!   every on-chip data cache but leaves the MEE cache's resident set and
 //!   statistics untouched (the paper's §4 observation that makes the covert
-//!   channel possible).
+//!   channel possible); after a pair, the line is gone from every on-chip
+//!   cache of both machines, and B's flush half left its MEE cache as its
+//!   read half did.
 //! - **`prm-bounds-enforced`** — tree lines never appear in L1/L2/LLC, the
 //!   inclusive-LLC oracle holds, and every line in the MEE cache lies inside
 //!   the PRM tree region. A separate set of fixed cases pins the error paths:
@@ -24,7 +31,7 @@ use mee_types::{ModelError, VirtAddr};
 
 use crate::counterexample::Counterexample;
 use crate::enumerate::for_each_program;
-use crate::oracle::{exec_op, OpKind, OracleOp};
+use crate::oracle::{exec_op, OpKind, OpRecord, OracleOp};
 use crate::Budget;
 
 /// Base of the enclave mapping (process 0, two pages).
@@ -185,21 +192,30 @@ pub enum MachOp {
     Write(usize, usize),
     /// `clflush` of palette entry `k` from `core`.
     Clflush(usize, usize),
+    /// A read-then-`clflush` pair of palette entry `k` from `core`: the
+    /// one-address `sweep_read_flush` on machine A, `read` then `clflush`
+    /// on machine B.
+    Pair(usize, usize),
 }
 
 impl MachOp {
+    /// The op as machine A runs it.
     fn to_oracle(self) -> OracleOp {
-        let (core, k, mk) = match self {
-            MachOp::Read(c, k) => (c, k, 0),
-            MachOp::Write(c, k) => (c, k, 1),
-            MachOp::Clflush(c, k) => (c, k, 2),
-        };
+        let (MachOp::Read(core, k)
+        | MachOp::Write(core, k)
+        | MachOp::Clflush(core, k)
+        | MachOp::Pair(core, k)) = self;
         let (proc, va) = MACH_PALETTE[k];
         let va = VirtAddr::new(va);
-        let kind = match mk {
-            0 => OpKind::Read(va),
-            1 => OpKind::Write(va, 0xa0 + k as u64),
-            _ => OpKind::Clflush(va),
+        let kind = match self {
+            MachOp::Read(..) => OpKind::Read(va),
+            MachOp::Write(..) => OpKind::Write(va, 0xa0 + k as u64),
+            MachOp::Clflush(..) => OpKind::Clflush(va),
+            MachOp::Pair(..) => OpKind::Sweep {
+                base: va,
+                pages: 1,
+                rev: false,
+            },
         };
         OracleOp { core, proc, kind }
     }
@@ -213,6 +229,7 @@ pub fn fmt_mach_ops(ops: &[MachOp]) -> String {
             MachOp::Read(c, k) => format!("r{c}.{k}"),
             MachOp::Write(c, k) => format!("w{c}.{k}"),
             MachOp::Clflush(c, k) => format!("c{c}.{k}"),
+            MachOp::Pair(c, k) => format!("p{c}.{k}"),
         })
         .collect();
     tokens.join(" ")
@@ -227,7 +244,7 @@ pub fn parse_mach_ops(trace: &str) -> Result<Vec<MachOp>, String> {
     trace
         .split_whitespace()
         .map(|tok| {
-            let bad = || format!("malformed machine op {tok:?} (expected r/w/c<core>.<palette>)");
+            let bad = || format!("malformed machine op {tok:?} (expected r/w/c/p<core>.<palette>)");
             let (head, rest) = tok.split_at(1);
             let (c, k) = rest.split_once('.').ok_or_else(bad)?;
             let c: usize = c.parse().map_err(|_| bad())?;
@@ -239,6 +256,7 @@ pub fn parse_mach_ops(trace: &str) -> Result<Vec<MachOp>, String> {
                 "r" => Ok(MachOp::Read(c, k)),
                 "w" => Ok(MachOp::Write(c, k)),
                 "c" => Ok(MachOp::Clflush(c, k)),
+                "p" => Ok(MachOp::Pair(c, k)),
                 _ => Err(bad()),
             }
         })
@@ -249,6 +267,81 @@ fn mee_resident_sorted(m: &Machine) -> Vec<u64> {
     let mut v: Vec<u64> = m.mee().cache().resident_lines().map(|l| l.raw()).collect();
     v.sort_unstable();
     v
+}
+
+/// Machine B's side of a [`MachOp::Pair`]: `read` then `clflush`, as
+/// separate instructions. Returns the op record (the summed latency and
+/// the read's MEE hit level, as machine A's one-address sweep reports
+/// them) and whether the flush half left the MEE cache's resident set
+/// and statistics as the read half left them.
+fn split_pair(m: &mut Machine, procs: &[ProcId], core: usize, k: usize) -> (OpRecord, bool) {
+    let (pi, va) = MACH_PALETTE[k];
+    let (core, proc, va) = (CoreId::new(core), procs[pi], VirtAddr::new(va));
+    let mut rec = OpRecord {
+        latency: 0,
+        value: None,
+        mee_hit: None,
+        error: None,
+    };
+    let read = match m.read(core, proc, va) {
+        Ok(read) => read,
+        Err(e) => {
+            rec.error = Some(e.to_string());
+            return (rec, true);
+        }
+    };
+    rec.mee_hit = m.last_mee_hit().map(|h| h.ladder_index());
+    let before = (mee_resident_sorted(m), m.mee().stats());
+    match m.clflush(core, proc, va) {
+        Ok(flush) => rec.latency = (read + flush).raw(),
+        Err(e) => rec.error = Some(e.to_string()),
+    }
+    let spared = (mee_resident_sorted(m), m.mee().stats()) == before;
+    (rec, spared)
+}
+
+/// The first difference in state between the two machines that an op
+/// record does not show: core clocks, where each palette line is cached
+/// on-chip, and the LLC's and MEE cache's statistics and MEE residents.
+fn state_divergence(
+    ma: &Machine,
+    procs_a: &[ProcId],
+    mb: &Machine,
+    procs_b: &[ProcId],
+) -> Option<String> {
+    for c in (0..ma.core_count()).map(CoreId::new) {
+        if ma.core_now(c) != mb.core_now(c) {
+            return Some(format!("{c} clocks diverged"));
+        }
+    }
+    for (k, &(pi, va)) in MACH_PALETTE.iter().enumerate() {
+        let va = VirtAddr::new(va);
+        let (Ok(pa), Ok(pb)) = (ma.translate(procs_a[pi], va), mb.translate(procs_b[pi], va))
+        else {
+            return Some(format!("palette {k} does not translate"));
+        };
+        let (la, lb) = (pa.line(), pb.line());
+        let where_a: Vec<bool> = (0..ma.core_count())
+            .map(|c| ma.core_caches_line(CoreId::new(c), la))
+            .chain([ma.llc().contains(la)])
+            .collect();
+        let where_b: Vec<bool> = (0..mb.core_count())
+            .map(|c| mb.core_caches_line(CoreId::new(c), lb))
+            .chain([mb.llc().contains(lb)])
+            .collect();
+        if where_a != where_b {
+            return Some(format!(
+                "palette {k} residency diverged: A {where_a:?} vs B {where_b:?}"
+            ));
+        }
+    }
+    if ma.llc().stats() != mb.llc().stats() {
+        return Some("LLC stats diverged".into());
+    }
+    if ma.mee().stats() != mb.mee().stats() || mee_resident_sorted(ma) != mee_resident_sorted(mb) {
+        return Some("MEE cache diverged".into());
+    }
+    None
 }
 
 /// Runs `ops` on two identically configured machines and checks the three
@@ -282,7 +375,21 @@ pub fn check_machine_program(
             None
         };
         let ra = exec_op(&mut ma, &procs_a, &oop);
-        let rb = exec_op(&mut mb, &procs_b, &oop);
+        let rb = match *op {
+            MachOp::Pair(c, k) => {
+                let (rb, spared) = split_pair(&mut mb, &procs_b, c, k);
+                if !spared {
+                    return Err((
+                        "clflush-spares-mee-cache",
+                        format!(
+                            "step {i}: the pair's clflush perturbed the MEE cache or its stats"
+                        ),
+                    ));
+                }
+                rb
+            }
+            _ => exec_op(&mut mb, &procs_b, &oop),
+        };
         if let Some(e) = &ra.error {
             return Err((
                 "replay-identity",
@@ -295,6 +402,9 @@ pub fn check_machine_program(
                 format!("step {i}: machines diverged: A {ra:?} vs B {rb:?}"),
             ));
         }
+        if let Some(detail) = state_divergence(&ma, &procs_a, &mb, &procs_b) {
+            return Err(("replay-identity", format!("step {i}: {detail}")));
+        }
         if let Some((resident_before, stats_before)) = flush_snapshot {
             if mee_resident_sorted(&ma) != resident_before || ma.mee().stats() != stats_before {
                 return Err((
@@ -302,10 +412,9 @@ pub fn check_machine_program(
                     format!("step {i}: clflush perturbed the MEE cache or its stats"),
                 ));
             }
-            let MachOp::Clflush(_, k) = op else {
-                unreachable!()
-            };
-            let (pi, va) = MACH_PALETTE[*k];
+        }
+        if let MachOp::Clflush(_, k) | MachOp::Pair(_, k) = *op {
+            let (pi, va) = MACH_PALETTE[k];
             let pa = ma.translate(procs_a[pi], VirtAddr::new(va)).map_err(|e| {
                 (
                     "replay-identity",
@@ -355,42 +464,26 @@ pub fn check_machine_program(
             ));
         }
     }
-    if ma.mee().stats() != mb.mee().stats() {
-        return Err((
-            "replay-identity",
-            format!(
-                "final MEE stats diverged: {:?} vs {:?}",
-                ma.mee().stats(),
-                mb.mee().stats()
-            ),
-        ));
-    }
-    if ma.llc().stats() != mb.llc().stats() {
-        return Err((
-            "replay-identity",
-            format!(
-                "final LLC stats diverged: {:?} vs {:?}",
-                ma.llc().stats(),
-                mb.llc().stats()
-            ),
-        ));
-    }
     Ok(())
 }
 
 /// Exhaustively checks the three machine invariants on the tiny machine.
 pub fn enumerate_machine_invariants(budget: &Budget, out: &mut Vec<Counterexample>) {
-    // Symbols: reads and writes from both cores, clflush from core 0.
-    let symbols = 2 * MACH_PALETTE.len() * 2 + MACH_PALETTE.len();
+    // Symbols: reads, writes and read-then-clflush pairs from both cores,
+    // clflush from core 0.
     let pal = MACH_PALETTE.len();
+    let symbols = 7 * pal;
     let decode = |s: usize| -> MachOp {
         if s < 2 * pal {
             MachOp::Read(s / pal, s % pal)
         } else if s < 4 * pal {
             let s = s - 2 * pal;
             MachOp::Write(s / pal, s % pal)
-        } else {
+        } else if s < 5 * pal {
             MachOp::Clflush(0, s - 4 * pal)
+        } else {
+            let s = s - 5 * pal;
+            MachOp::Pair(s / pal, s % pal)
         }
     };
     let mut go = true;
@@ -550,9 +643,10 @@ mod tests {
             MachOp::Read(0, 1),
             MachOp::Write(1, 2),
             MachOp::Clflush(0, 3),
+            MachOp::Pair(1, 0),
         ];
         let s = fmt_mach_ops(&ops);
-        assert_eq!(s, "r0.1 w1.2 c0.3");
+        assert_eq!(s, "r0.1 w1.2 c0.3 p1.0");
         assert_eq!(parse_mach_ops(&s).unwrap(), ops);
         assert!(parse_mach_ops("r0.9").is_err());
         assert!(parse_mach_ops("x0.1").is_err());
@@ -560,7 +654,9 @@ mod tests {
 
     #[test]
     fn clean_programs_pass_all_three_invariants() {
-        let ops = parse_mach_ops("w0.0 r0.0 c0.0 r0.0 w1.3 r1.3 c0.2 r0.2 r0.1").unwrap();
+        let ops =
+            parse_mach_ops("w0.0 r0.0 c0.0 r0.0 w1.3 r1.3 c0.2 r0.2 r0.1 p0.1 p1.3 p0.0 p1.0")
+                .unwrap();
         check_machine_program(MachineSize::Tiny, PolicyKind::TreePlru, &ops)
             .unwrap_or_else(|(inv, d)| panic!("{inv}: {d}"));
     }

@@ -194,10 +194,11 @@ fn machine_property(rng: &mut Rng, seed: u64, out: &mut Vec<Counterexample>) {
     let ops = vec_of(rng, 8..24, |r| {
         let core = r.random_range(0..2usize);
         let k = r.random_range(0..pal);
-        match r.random_range(0..5u32) {
+        match r.random_range(0..7u32) {
             0 | 1 => MachOp::Read(core, k),
             2 | 3 => MachOp::Write(core, k),
-            _ => MachOp::Clflush(core, k),
+            4 => MachOp::Clflush(core, k),
+            _ => MachOp::Pair(core, k),
         }
     });
     if let Err((invariant, detail)) = check_machine_program(MachineSize::Small, policy, &ops) {
