@@ -1561,11 +1561,11 @@ mod tests {
     }
 
     /// Both sweep-pair paths must remain the split `read` + `clflush`
-    /// sequence, op for op. Twin machines run the same random workload:
-    /// machine A issues every pair through `sweep_read_flush` or
-    /// `read_flush`, machine B as a literal `read` then `clflush`, and
-    /// after every step latencies, errors, both cores' clocks, every
-    /// cache's statistics, residency and the MEE state must agree.
+    /// sequence, op for op. Twin machines run the same workload: machine A
+    /// issues every pair through `sweep_read_flush` or `read_flush`,
+    /// machine B as a literal `read` then `clflush`, and after every step
+    /// latencies, errors, both cores' clocks, every cache's statistics,
+    /// residency and the MEE state must agree.
     ///
     /// The hierarchy has one set per level, so pairs alternate between the
     /// one-pass path (every level has a free way) and the split fallback,
@@ -1579,7 +1579,9 @@ mod tests {
     /// fail with `IntegrityViolation` mid-walk, and some twins trace, with
     /// equal event rings and metrics demanded. The test requires the
     /// victim scenario, both paths, a failing pair and a traced twin to
-    /// actually occur.
+    /// actually occur: a fixed case that forces each of them runs ahead of
+    /// the random ones, so they occur at any case count and under a
+    /// one-case `MEE_PROP_SEED` replay.
     #[test]
     fn sweep_matches_split_under_l1_resident_llc_victims() {
         use crate::config::PolicyKind;
@@ -1596,11 +1598,187 @@ mod tests {
             PolicyKind::Srrip,
             PolicyKind::Random { seed: 7 },
         ];
+        const POOL: usize = 10;
+        /// One step of the twins' workload, over pool slots.
+        enum Op {
+            /// A sweep over the slots, reversed if the flag is set.
+            Sweep(Vec<usize>, bool),
+            ReadFlush(usize),
+            /// Corrupt the slot's version counter in "DRAM" on both
+            /// machines: its next walk fails.
+            Tamper(usize),
+            /// A plain (unflushed) read, so the private caches retain
+            /// eviction candidates.
+            Read(CoreId, usize),
+        }
         let victim_fired = Cell::new(false);
         let one_pass = Cell::new(0usize);
         let fallback = Cell::new(0usize);
         let violations = Cell::new(0usize);
         let traced = Cell::new(0usize);
+        let run = |mee_policy: PolicyKind, llc_policy: PolicyKind, tracing: bool, ops: &[Op]| {
+            let mk = || {
+                let mut cfg = MachineConfig::small();
+                let one_set = |ways| CacheConfig {
+                    sets: 1,
+                    ways,
+                    line_size: 64,
+                };
+                cfg.l1 = one_set(4);
+                cfg.l2 = one_set(4);
+                cfg.llc = one_set(8);
+                cfg.mee_policy = mee_policy;
+                cfg.llc_policy = llc_policy;
+                let mut m = Machine::new(cfg).unwrap();
+                if tracing {
+                    m.enable_tracing(1 << 16);
+                }
+                m
+            };
+            let mut a = mk(); // pairs through sweep_read_flush / read_flush
+            let mut b = mk(); // pairs as a split read + clflush
+            let proc_a = a.create_process(AddressSpaceKind::Enclave);
+            let proc_b = b.create_process(AddressSpaceKind::Enclave);
+            let base = VirtAddr::new(0x100_0000);
+            a.map_pages(proc_a, base, POOL).unwrap();
+            b.map_pages(proc_b, base, POOL).unwrap();
+            let addr = |s: usize| base + (s * PAGE_SIZE) as u64;
+            let lines: Vec<LineAddr> = (0..POOL)
+                .map(|s| a.translate(proc_a, addr(s)).unwrap().line())
+                .collect();
+            let residency = |m: &Machine, line: LineAddr| {
+                (
+                    m.core_caches_line(CORE0, line),
+                    m.core_caches_line(CORE1, line),
+                    m.llc().contains(line),
+                )
+            };
+            let show = |r: Result<Cycles, ModelError>| r.map_err(|e| e.to_string());
+            // The split pair on B: the flush runs only if the load did.
+            let split_pair = |b: &mut Machine, va: VirtAddr| -> Result<Cycles, ModelError> {
+                let read = b.read(CORE0, proc_b, va)?;
+                b.clflush(CORE0, proc_b, va)?;
+                Ok(read)
+            };
+
+            for op in ops {
+                match *op {
+                    Op::Sweep(ref slots, rev) => {
+                        let addrs: Vec<VirtAddr> = slots.iter().map(|&s| addr(s)).collect();
+                        let before: Vec<_> = lines.iter().map(|&l| residency(&a, l)).collect();
+                        let batch = show(a.sweep_read_flush(CORE0, proc_a, &addrs, rev));
+                        let order: Vec<VirtAddr> = if rev {
+                            addrs.iter().rev().copied().collect()
+                        } else {
+                            addrs.clone()
+                        };
+                        let mut split = Ok(Cycles::ZERO);
+                        for &va in &order {
+                            let read = b.read(CORE0, proc_b, va);
+                            split = match (split, read) {
+                                (Ok(total), Ok(read)) => {
+                                    Ok(total + read + b.clflush(CORE0, proc_b, va).unwrap())
+                                }
+                                (_, Err(e)) => Err(e),
+                                (Err(e), _) => Err(e),
+                            };
+                            if split.is_err() {
+                                break;
+                            }
+                        }
+                        assert_eq!(batch, show(split), "batch diverged from split");
+                        let swept: Vec<LineAddr> = order
+                            .iter()
+                            .map(|&va| b.translate(proc_b, va).unwrap().line())
+                            .collect();
+                        for (i, &l) in lines.iter().enumerate() {
+                            let (was_private, _, was_llc) = before[i];
+                            if was_private && was_llc && !a.llc().contains(l) && !swept.contains(&l)
+                            {
+                                // An LLC eviction back-invalidated a line the
+                                // sweeping core still held privately.
+                                victim_fired.set(true);
+                            }
+                        }
+                    }
+                    Op::ReadFlush(s) => {
+                        let va = addr(s);
+                        let line = a.translate(proc_a, va).unwrap().line();
+                        let c = &a.cores[0];
+                        let free = c.l1.free_way(line).is_some()
+                            && c.l2.free_way(line).is_some()
+                            && a.llc.free_way(line).is_some();
+                        let counter = if free { &one_pass } else { &fallback };
+                        counter.set(counter.get() + 1);
+                        let got = show(a.read_flush(CORE0, proc_a, va));
+                        if got.is_err() {
+                            violations.set(violations.get() + 1);
+                        }
+                        assert_eq!(got, show(split_pair(&mut b, va)), "read_flush diverged");
+                    }
+                    Op::Tamper(s) => {
+                        for (m, p) in [(&mut a, proc_a), (&mut b, proc_b)] {
+                            let pa = m.translate(p, addr(s)).unwrap();
+                            let geo = *m.mee().geometry();
+                            let node = geo.walk_path(pa.line()).version;
+                            m.mee_mut()
+                                .tree_mut()
+                                .tamper_counter(TreeLevel::Version, node);
+                        }
+                    }
+                    Op::Read(core, s) => {
+                        let va = addr(s);
+                        assert_eq!(
+                            show(a.read(core, proc_a, va)),
+                            show(b.read(core, proc_b, va))
+                        );
+                    }
+                }
+                for core in [CORE0, CORE1] {
+                    assert_eq!(a.core_now(core), b.core_now(core));
+                    let (ca, cb) = (&a.cores[core.index()], &b.cores[core.index()]);
+                    assert_eq!(ca.l1.stats(), cb.l1.stats());
+                    assert_eq!(ca.l2.stats(), cb.l2.stats());
+                }
+                assert_eq!(a.llc().stats(), b.llc().stats());
+                assert_eq!(a.mee().stats(), b.mee().stats());
+                assert_eq!(a.last_mee_hit(), b.last_mee_hit());
+                for &l in &lines {
+                    assert_eq!(residency(&a, l), residency(&b, l));
+                }
+            }
+            // Policy state, read back through the victims of a burst
+            // of plain reads over the whole pool.
+            for s in 0..POOL {
+                assert_eq!(
+                    show(a.read(CORE0, proc_a, addr(s))),
+                    show(b.read(CORE0, proc_b, addr(s)))
+                );
+                for &l in &lines {
+                    assert_eq!(residency(&a, l), residency(&b, l));
+                }
+            }
+            if tracing {
+                traced.set(traced.get() + 1);
+                assert_eq!(a.obs().events(), b.obs().events(), "event rings diverged");
+                assert_eq!(a.obs().metrics, b.obs().metrics, "metrics diverged");
+            }
+        };
+
+        // The fixed case, traced, with an LRU LLC so the victim is known:
+        // a pair on the cold hierarchy takes the one-pass path; slot 9's
+        // first walk reads its tampered counter and fails; core 1 fills
+        // the LLC behind core 0's private slot 1, so sweeping slot 0
+        // evicts slot 1; four plain reads fill core 0's L1, so the last
+        // pair falls back.
+        let mut forced = vec![Op::Tamper(9), Op::ReadFlush(0), Op::ReadFlush(9)];
+        forced.push(Op::Read(CORE0, 1));
+        forced.extend((2..=8).map(|s| Op::Read(CORE1, s)));
+        forced.push(Op::Sweep(vec![0], false));
+        forced.extend((2..=5).map(|s| Op::Read(CORE0, s)));
+        forced.push(Op::ReadFlush(6));
+        run(PolicyKind::TreePlru, PolicyKind::TrueLru, true, &forced);
+
         check(
             "sweep_matches_split_under_l1_resident_llc_victims",
             &PropConfig::from_env(24),
@@ -1608,167 +1786,23 @@ mod tests {
                 let mee_policy = pick(rng, &POLICIES);
                 let llc_policy = pick(rng, &POLICIES);
                 let tracing = rng.random_range(0u8..3) == 0;
-                let mk = || {
-                    let mut cfg = MachineConfig::small();
-                    let one_set = |ways| CacheConfig {
-                        sets: 1,
-                        ways,
-                        line_size: 64,
-                    };
-                    cfg.l1 = one_set(4);
-                    cfg.l2 = one_set(4);
-                    cfg.llc = one_set(8);
-                    cfg.mee_policy = mee_policy;
-                    cfg.llc_policy = llc_policy;
-                    let mut m = Machine::new(cfg).unwrap();
-                    if tracing {
-                        m.enable_tracing(1 << 16);
-                    }
-                    m
-                };
-                let mut a = mk(); // pairs through sweep_read_flush / read_flush
-                let mut b = mk(); // pairs as a split read + clflush
-                let proc_a = a.create_process(AddressSpaceKind::Enclave);
-                let proc_b = b.create_process(AddressSpaceKind::Enclave);
-                let base = VirtAddr::new(0x100_0000);
-                const POOL: usize = 10;
-                a.map_pages(proc_a, base, POOL).unwrap();
-                b.map_pages(proc_b, base, POOL).unwrap();
-                let addr = |s: usize| base + (s * PAGE_SIZE) as u64;
-                let lines: Vec<LineAddr> = (0..POOL)
-                    .map(|s| a.translate(proc_a, addr(s)).unwrap().line())
-                    .collect();
-                let residency = |m: &Machine, line: LineAddr| {
-                    (
-                        m.core_caches_line(CORE0, line),
-                        m.core_caches_line(CORE1, line),
-                        m.llc().contains(line),
-                    )
-                };
-                let show = |r: Result<Cycles, ModelError>| r.map_err(|e| e.to_string());
-                // The split pair on B: the flush runs only if the load did.
-                let split_pair = |b: &mut Machine, va: VirtAddr| -> Result<Cycles, ModelError> {
-                    let read = b.read(CORE0, proc_b, va)?;
-                    b.clflush(CORE0, proc_b, va)?;
-                    Ok(read)
-                };
-
-                for _ in 0..rng.random_range(20usize..60) {
-                    match rng.random_range(0u8..16) {
+                let ops: Vec<Op> = (0..rng.random_range(20usize..60))
+                    .map(|_| match rng.random_range(0u8..16) {
                         0..=3 => {
-                            // A sweep over 1–3 pool addresses, either direction.
+                            // A sweep over 1–3 pool slots, either direction.
                             let n = rng.random_range(1usize..4);
-                            let addrs: Vec<VirtAddr> = (0..n)
-                                .map(|_| addr(rng.random_range(0usize..POOL)))
-                                .collect();
-                            let rev = rng.random_range(0u8..2) == 1;
-                            let before: Vec<_> = lines.iter().map(|&l| residency(&a, l)).collect();
-                            let batch = show(a.sweep_read_flush(CORE0, proc_a, &addrs, rev));
-                            let order: Vec<VirtAddr> = if rev {
-                                addrs.iter().rev().copied().collect()
-                            } else {
-                                addrs.clone()
-                            };
-                            let mut split = Ok(Cycles::ZERO);
-                            for &va in &order {
-                                let read = b.read(CORE0, proc_b, va);
-                                split = match (split, read) {
-                                    (Ok(total), Ok(read)) => {
-                                        Ok(total + read + b.clflush(CORE0, proc_b, va).unwrap())
-                                    }
-                                    (_, Err(e)) => Err(e),
-                                    (Err(e), _) => Err(e),
-                                };
-                                if split.is_err() {
-                                    break;
-                                }
-                            }
-                            assert_eq!(batch, show(split), "batch diverged from split");
-                            let swept: Vec<LineAddr> = order
-                                .iter()
-                                .map(|&va| b.translate(proc_b, va).unwrap().line())
-                                .collect();
-                            for (i, &l) in lines.iter().enumerate() {
-                                let (was_private, _, was_llc) = before[i];
-                                if was_private
-                                    && was_llc
-                                    && !a.llc().contains(l)
-                                    && !swept.contains(&l)
-                                {
-                                    // An LLC eviction back-invalidated a line the
-                                    // sweeping core still held privately.
-                                    victim_fired.set(true);
-                                }
-                            }
+                            let slots = (0..n).map(|_| rng.random_range(0usize..POOL)).collect();
+                            Op::Sweep(slots, rng.random_range(0u8..2) == 1)
                         }
-                        4..=5 => {
-                            let va = addr(rng.random_range(0usize..POOL));
-                            let line = a.translate(proc_a, va).unwrap().line();
-                            let c = &a.cores[0];
-                            let free = c.l1.free_way(line).is_some()
-                                && c.l2.free_way(line).is_some()
-                                && a.llc.free_way(line).is_some();
-                            let counter = if free { &one_pass } else { &fallback };
-                            counter.set(counter.get() + 1);
-                            let got = show(a.read_flush(CORE0, proc_a, va));
-                            if got.is_err() {
-                                violations.set(violations.get() + 1);
-                            }
-                            assert_eq!(got, show(split_pair(&mut b, va)), "read_flush diverged");
-                        }
-                        6 => {
-                            // Corrupt one pool line's version counter in "DRAM"
-                            // on both machines: its next walk fails.
-                            let s = rng.random_range(0usize..POOL);
-                            for (m, p) in [(&mut a, proc_a), (&mut b, proc_b)] {
-                                let pa = m.translate(p, addr(s)).unwrap();
-                                let geo = *m.mee().geometry();
-                                let node = geo.walk_path(pa.line()).version;
-                                m.mee_mut()
-                                    .tree_mut()
-                                    .tamper_counter(TreeLevel::Version, node);
-                            }
-                        }
+                        4..=5 => Op::ReadFlush(rng.random_range(0usize..POOL)),
+                        6 => Op::Tamper(rng.random_range(0usize..POOL)),
                         op => {
-                            // A plain (unflushed) read from either core, so the
-                            // private caches retain eviction candidates.
                             let core = if op >= 14 { CORE1 } else { CORE0 };
-                            let va = addr(rng.random_range(0usize..POOL));
-                            assert_eq!(
-                                show(a.read(core, proc_a, va)),
-                                show(b.read(core, proc_b, va))
-                            );
+                            Op::Read(core, rng.random_range(0usize..POOL))
                         }
-                    }
-                    for core in [CORE0, CORE1] {
-                        assert_eq!(a.core_now(core), b.core_now(core));
-                        let (ca, cb) = (&a.cores[core.index()], &b.cores[core.index()]);
-                        assert_eq!(ca.l1.stats(), cb.l1.stats());
-                        assert_eq!(ca.l2.stats(), cb.l2.stats());
-                    }
-                    assert_eq!(a.llc().stats(), b.llc().stats());
-                    assert_eq!(a.mee().stats(), b.mee().stats());
-                    assert_eq!(a.last_mee_hit(), b.last_mee_hit());
-                    for &l in &lines {
-                        assert_eq!(residency(&a, l), residency(&b, l));
-                    }
-                }
-                // Policy state, read back through the victims of a burst
-                // of plain reads over the whole pool.
-                for s in 0..POOL {
-                    assert_eq!(
-                        show(a.read(CORE0, proc_a, addr(s))),
-                        show(b.read(CORE0, proc_b, addr(s)))
-                    );
-                    for &l in &lines {
-                        assert_eq!(residency(&a, l), residency(&b, l));
-                    }
-                }
-                if tracing {
-                    traced.set(traced.get() + 1);
-                    assert_eq!(a.obs().events(), b.obs().events(), "event rings diverged");
-                    assert_eq!(a.obs().metrics, b.obs().metrics, "metrics diverged");
-                }
+                    })
+                    .collect();
+                run(mee_policy, llc_policy, tracing, &ops);
             },
         );
         assert!(

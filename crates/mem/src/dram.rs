@@ -2,7 +2,7 @@
 
 use mee_types::{Cycles, LineAddr, ModelError};
 
-use crate::noise::GaussianJitter;
+use crate::noise::{validate_std, GaussianJitter};
 
 /// Geometry and timing of the DRAM subsystem.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,13 +53,7 @@ impl DramConfig {
         if self.row_hit > self.row_miss {
             return fail("row_hit latency must not exceed row_miss".into());
         }
-        if !(self.jitter_std >= 0.0 && self.jitter_std.is_finite()) {
-            return fail(format!(
-                "jitter_std {} must be finite and non-negative",
-                self.jitter_std
-            ));
-        }
-        Ok(())
+        validate_std(self.jitter_std)
     }
 }
 
@@ -92,7 +86,7 @@ impl DramModel {
     pub fn new(cfg: DramConfig) -> Result<Self, ModelError> {
         cfg.validate()?;
         Ok(DramModel {
-            jitter: GaussianJitter::new(cfg.jitter_std, cfg.seed),
+            jitter: GaussianJitter::new(cfg.jitter_std, cfg.seed)?,
             open_rows: vec![None; cfg.banks],
             row_shift: cfg.row_lines.trailing_zeros(),
             bank_mask: cfg.banks as u64 - 1,

@@ -7,30 +7,47 @@
 //! reproducible.
 
 use mee_rng::Rng;
-use mee_types::Cycles;
+use mee_types::{Cycles, ModelError};
+
+/// Box–Muller pairs computed per refill of [`GaussianJitter`]'s buffer.
+/// At most 32: [`box_muller_batch`] flags the pairs in a `u32`.
+const BATCH: usize = 16;
+
+/// Every pair's flag bit of a batch.
+const ALL_FLAGS: u32 = u32::MAX >> (32 - BATCH);
 
 /// Seeded Gaussian jitter, sampled via Box–Muller and clamped to ±4σ.
+///
+/// Pairs are computed [`BATCH`] at a time by [`box_muller_batch`]. The RNG
+/// is private and feeds nothing else, so drawing a batch's uniforms ahead
+/// changes when they are drawn, not which sample each one feeds.
 #[derive(Debug, Clone)]
 pub struct GaussianJitter {
     rng: Rng,
     std: f64,
-    /// Second Box–Muller variate of the last pair, already quantized.
-    spare: Option<i64>,
+    /// The current batch's quantized variates, pair by pair: the cosine
+    /// variate, then the sine variate.
+    buf: [i64; 2 * BATCH],
+    /// Index of the next variate of `buf` to hand out; `2 * BATCH` once the
+    /// batch is used up.
+    next: usize,
 }
 
 impl GaussianJitter {
     /// Creates a jitter source with standard deviation `std` cycles.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `std` is negative or non-finite.
-    pub fn new(std: f64, seed: u64) -> Self {
-        assert!(std >= 0.0 && std.is_finite(), "jitter std must be >= 0");
-        GaussianJitter {
+    /// Returns [`ModelError::InvalidConfig`] if `std` is negative or
+    /// non-finite.
+    pub fn new(std: f64, seed: u64) -> Result<Self, ModelError> {
+        validate_std(std)?;
+        Ok(GaussianJitter {
             rng: Rng::seed_from_u64(seed),
             std,
-            spare: None,
-        }
+            buf: [0; 2 * BATCH],
+            next: 2 * BATCH,
+        })
     }
 
     /// Samples one jitter value in cycles (may be negative).
@@ -38,14 +55,25 @@ impl GaussianJitter {
         if self.std == 0.0 {
             return 0;
         }
-        if let Some(j) = self.spare.take() {
-            return j;
+        if self.next == 2 * BATCH {
+            self.refill();
         }
-        let u1: f64 = self.rng.random_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.random();
-        let (j, spare) = box_muller_pair(u1, u2, self.std);
-        self.spare = Some(spare);
+        let j = self.buf[self.next];
+        self.next += 1;
         j
+    }
+
+    /// Draws the next [`BATCH`] uniform pairs, in the order a pair-at-a-time
+    /// sampler draws them, and quantizes their Box–Muller pairs into `buf`.
+    fn refill(&mut self) {
+        let mut u1 = [0.0; BATCH];
+        let mut u2 = [0.0; BATCH];
+        for (u1, u2) in u1.iter_mut().zip(&mut u2) {
+            *u1 = self.rng.random_range(f64::MIN_POSITIVE..1.0);
+            *u2 = self.rng.random();
+        }
+        box_muller_batch(&u1, &u2, self.std, &mut self.buf);
+        self.next = 0;
     }
 
     /// Adds jitter to a base latency, never letting the result drop below
@@ -58,21 +86,85 @@ impl GaussianJitter {
     }
 }
 
-/// One quantized Box–Muller pair for the uniforms `u1 ∈ [MIN_POSITIVE, 1)`
-/// and `u2 ∈ [0, 1)`: with `r = √(−2 ln u1)` and `θ = 2π·u2`, returns
-/// `round(clamp(r cos θ, ±4)·std)` and the same for `r sin θ`, where
-/// `round` is [`f64::round`] (half away from zero).
+/// Checks a jitter standard deviation: finite and non-negative.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidConfig`] otherwise.
+pub(crate) fn validate_std(std: f64) -> Result<(), ModelError> {
+    if std >= 0.0 && std.is_finite() {
+        Ok(())
+    } else {
+        Err(ModelError::InvalidConfig {
+            reason: format!("jitter_std {std} must be finite and non-negative"),
+        })
+    }
+}
+
+/// Quantized Box–Muller pairs for [`BATCH`] uniform pairs
+/// `u1 ∈ [MIN_POSITIVE, 1)`, `u2 ∈ [0, 1)`: with `r = √(−2 ln u1)` and
+/// `θ = 2π·u2`, pair `i` gets `out[2i] = round(clamp(r cos θ, ±4)·std)`
+/// and `out[2i + 1]` the same for `r sin θ`, where `round` is
+/// [`f64::round`] (half away from zero).
 ///
 /// The result is bit-identical to evaluating that expression with libm
-/// ([`box_muller_libm`]), which is what it falls back to when the
-/// polynomial fast path ([`box_muller_fast`]) cannot vouch for the
-/// rounding.
-fn box_muller_pair(u1: f64, u2: f64, std: f64) -> (i64, i64) {
-    box_muller_fast(u1, u2, std).unwrap_or_else(|| box_muller_libm(u1, u2, std))
+/// ([`box_muller_libm`]). The polynomial fast path runs over the whole
+/// batch in separate loops with no early exit; a pair with a variate
+/// within [`TIE_MARGIN_PER_STD`] of a rounding tie (every pair, when `std`
+/// is at least [`FAST_STD_MAX`]) is flagged and recomputed by libm, which
+/// alone can decide it. Returns the flags, bit `i` for pair `i`.
+#[inline]
+fn box_muller_batch(
+    u1: &[f64; BATCH],
+    u2: &[f64; BATCH],
+    std: f64,
+    out: &mut [i64; 2 * BATCH],
+) -> u32 {
+    let (r, sin, cos) = polar_batch(u1, u2);
+    let margin = std * TIE_MARGIN_PER_STD;
+    // `x − n` is exact and within ±0.5; near a tie the `bool` is false.
+    let quantize = |z: f64| {
+        let x = z.clamp(-4.0, 4.0) * std;
+        let n = (x + ROUND_MAGIC) - ROUND_MAGIC;
+        (n as i64, 0.5 - (x - n).abs() >= margin)
+    };
+    let mut flags = 0;
+    for (i, pair) in out.chunks_exact_mut(2).enumerate() {
+        let (c, c_ok) = quantize(r[i] * cos[i]);
+        let (s, s_ok) = quantize(r[i] * sin[i]);
+        pair.copy_from_slice(&[c, s]);
+        flags |= u32::from(!(c_ok & s_ok)) << i;
+    }
+    if std >= FAST_STD_MAX {
+        flags = ALL_FLAGS;
+    }
+    let mut pending = flags;
+    while pending != 0 {
+        let i = pending.trailing_zeros() as usize;
+        let (c, s) = box_muller_libm(u1[i], u2[i], std);
+        out[2 * i..2 * i + 2].copy_from_slice(&[c, s]);
+        pending &= pending - 1;
+    }
+    flags
+}
+
+/// The fast path's polar coordinates of a batch, one loop per function:
+/// `r = √(−2·ln_fast u1)`, then `sincos_2pi_fast u2`.
+#[inline(always)]
+fn polar_batch(u1: &[f64; BATCH], u2: &[f64; BATCH]) -> ([f64; BATCH], [f64; BATCH], [f64; BATCH]) {
+    let mut r = [0.0; BATCH];
+    for (r, &u1) in r.iter_mut().zip(u1) {
+        *r = (-2.0 * ln_fast(u1)).sqrt();
+    }
+    let (mut sin, mut cos) = ([0.0; BATCH], [0.0; BATCH]);
+    for ((sin, cos), &u2) in sin.iter_mut().zip(&mut cos).zip(u2) {
+        (*sin, *cos) = sincos_2pi_fast(u2);
+    }
+    (r, sin, cos)
 }
 
 /// The libm expression that defines the jitter's values; the fallback of
-/// [`box_muller_pair`].
+/// [`box_muller_batch`].
 #[cold]
 #[inline(never)]
 fn box_muller_libm(u1: f64, u2: f64, std: f64) -> (i64, i64) {
@@ -86,7 +178,7 @@ fn box_muller_libm(u1: f64, u2: f64, std: f64) -> (i64, i64) {
 const FAST_STD_MAX: f64 = 1e9;
 
 /// How close (per cycle of `std`) a scaled variate may come to a
-/// `k + 0.5` tie before [`box_muller_fast`] hands the pair to libm.
+/// `k + 0.5` tie before [`box_muller_batch`] hands the pair to libm.
 ///
 /// Let `ε = 2⁻⁵³`, and bound `r ≤ R = 37.64` (`u1 ≥ f64::MIN_POSITIVE`
 /// gives `−2 ln u1 ≤ 1416.8`). Against the exact `z = r·cos(2π·u2)` (the
@@ -115,26 +207,6 @@ const TIE_MARGIN_PER_STD: f64 = 100.0 * 1.1e-13;
 /// `1.5·2⁵²`: adding and subtracting it rounds any `|x| < 2⁵¹` to the
 /// nearest integer, ties to even.
 const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
-
-/// [`box_muller_pair`] by polynomials, or `None` when either scaled
-/// variate lands within [`TIE_MARGIN_PER_STD`] of a tie (or `std` is
-/// outside the fast range), where only libm's own rounding can decide.
-#[inline]
-fn box_muller_fast(u1: f64, u2: f64, std: f64) -> Option<(i64, i64)> {
-    if std >= FAST_STD_MAX {
-        return None;
-    }
-    let r = (-2.0 * ln_fast(u1)).sqrt();
-    let (sin, cos) = sincos_2pi_fast(u2);
-    let margin = std * TIE_MARGIN_PER_STD;
-    let quantize = |z: f64| {
-        let x = z.clamp(-4.0, 4.0) * std;
-        let n = (x + ROUND_MAGIC) - ROUND_MAGIC;
-        // `x − n` is exact and within ±0.5.
-        (0.5 - (x - n).abs() >= margin).then_some(n as i64)
-    };
-    Some((quantize(r * cos)?, quantize(r * sin)?))
-}
 
 /// `ln u` for a positive normal `u`: `u = 2^e·m` with `m ∈ [√½, √2)`
 /// (exact bit manipulation, no branch), then `ln m = 2·atanh(s)` with
@@ -322,7 +394,7 @@ mod tests {
 
     #[test]
     fn zero_std_is_silent() {
-        let mut j = GaussianJitter::new(0.0, 1);
+        let mut j = GaussianJitter::new(0.0, 1).unwrap();
         for _ in 0..100 {
             assert_eq!(j.sample(), 0);
         }
@@ -330,8 +402,8 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let mut a = GaussianJitter::new(10.0, 42);
-        let mut b = GaussianJitter::new(10.0, 42);
+        let mut a = GaussianJitter::new(10.0, 42).unwrap();
+        let mut b = GaussianJitter::new(10.0, 42).unwrap();
         for _ in 0..50 {
             assert_eq!(a.sample(), b.sample());
         }
@@ -339,7 +411,7 @@ mod tests {
 
     #[test]
     fn jitter_moments_are_roughly_right() {
-        let mut j = GaussianJitter::new(20.0, 7);
+        let mut j = GaussianJitter::new(20.0, 7).unwrap();
         let n = 20_000;
         let samples: Vec<i64> = (0..n).map(|_| j.sample()).collect();
         let mean = samples.iter().sum::<i64>() as f64 / n as f64;
@@ -383,26 +455,40 @@ mod tests {
         (u1, u2)
     }
 
+    /// Runs the batch kernel on `inputs`; returns its pairs and its
+    /// fallback flags.
+    fn run_batch(inputs: &[(f64, f64); BATCH], std: f64) -> ([(i64, i64); BATCH], u32) {
+        let (u1, u2) = (inputs.map(|p| p.0), inputs.map(|p| p.1));
+        let mut out = [0; 2 * BATCH];
+        let flags = box_muller_batch(&u1, &u2, std, &mut out);
+        (std::array::from_fn(|i| (out[2 * i], out[2 * i + 1])), flags)
+    }
+
+    /// Asserts that every pair of `got` is the libm pair of its inputs.
+    fn assert_reference(inputs: &[(f64, f64)], got: &[(i64, i64)], std: f64) {
+        for (&(u1, u2), &pair) in inputs.iter().zip(got) {
+            let expected = reference_pair(u1, u2, std);
+            assert_eq!(pair, expected, "u1 = {u1:e}, u2 = {u2:e}, std = {std}");
+        }
+    }
+
     #[test]
     fn fast_pair_matches_the_libm_pair() {
         use mee_rng::prop::{check, PropConfig};
-        const PAIRS: usize = 1_000;
+        const BATCHES: usize = 64;
         let fallbacks: Vec<Cell<u64>> = STDS.iter().map(|_| Cell::new(0)).collect();
         let cfg = PropConfig::from_env(64);
         check("fast_pair_matches_the_libm_pair", &cfg, |rng| {
-            for _ in 0..PAIRS {
-                let (u1, u2) = draw_inputs(rng);
+            for _ in 0..BATCHES {
+                let inputs: [(f64, f64); BATCH] = std::array::from_fn(|_| draw_inputs(rng));
                 for (&std, fell_back) in STDS.iter().zip(&fallbacks) {
-                    let expected = reference_pair(u1, u2, std);
-                    let got = box_muller_pair(u1, u2, std);
-                    assert_eq!(got, expected, "u1 = {u1:e}, u2 = {u2:e}, std = {std}");
-                    if box_muller_fast(u1, u2, std).is_none() {
-                        fell_back.set(fell_back.get() + 1);
-                    }
+                    let (got, flags) = run_batch(&inputs, std);
+                    assert_reference(&inputs, &got, std);
+                    fell_back.set(fell_back.get() + u64::from(flags.count_ones()));
                 }
             }
         });
-        let pairs = u64::from(cfg.cases) * PAIRS as u64;
+        let pairs = u64::from(cfg.cases) * (BATCHES * BATCH) as u64;
         for (std, fell_back) in STDS.iter().zip(&fallbacks) {
             let share = fell_back.get() as f64 / pairs as f64;
             eprintln!(
@@ -426,67 +512,130 @@ mod tests {
             (1e-5, 0.25, 0.625, (0, 3)),
             (0.3, 0.0, 0.5 / r, reference_pair(0.3, 0.0, 0.5 / r)),
         ];
+        // Ordinary pairs: `u1 ≥ 0.01` keeps `r` below 3.1, so no variate
+        // clamps, and none lands near a tie at these `std`s.
+        let mut rng = Rng::seed_from_u64(5);
+        let ordinary: [(f64, f64); BATCH] =
+            std::array::from_fn(|_| (rng.random_range(0.01..1.0), rng.random()));
         for (u1, u2, std, expected) in ties {
-            assert_eq!(
-                box_muller_fast(u1, u2, std),
-                None,
-                "u1 {u1}, u2 {u2}, std {std}"
-            );
-            assert_eq!(box_muller_pair(u1, u2, std), expected);
             assert_eq!(reference_pair(u1, u2, std), expected);
+            let (got, flags) = run_batch(&ordinary, std);
+            assert_eq!(flags, 0, "std {std}: an ordinary pair fell back");
+            assert_reference(&ordinary, &got, std);
+            // The tie first, in the middle and last in its batch: only its
+            // own pair falls back, and the whole batch is libm's.
+            for pos in [0, BATCH / 2, BATCH - 1] {
+                let mut inputs = ordinary;
+                inputs[pos] = (u1, u2);
+                let (got, flags) = run_batch(&inputs, std);
+                assert_eq!(flags, 1 << pos, "u1 {u1}, u2 {u2}, std {std} at {pos}");
+                assert_eq!(got[pos], expected);
+                assert_reference(&inputs, &got, std);
+            }
         }
-        // Outside the fast range every pair goes to libm.
-        assert_eq!(box_muller_fast(0.5, 0.1, FAST_STD_MAX), None);
-        assert_eq!(
-            box_muller_pair(0.5, 0.1, 2e12),
-            reference_pair(0.5, 0.1, 2e12)
-        );
+        // At and beyond the fast range every pair goes to libm.
+        for std in [FAST_STD_MAX, 2e12] {
+            let (got, flags) = run_batch(&ordinary, std);
+            assert_eq!(flags, ALL_FLAGS, "std {std}");
+            assert_reference(&ordinary, &got, std);
+        }
     }
 
     /// Each polynomial stays within the error its share of the
     /// [`TIE_MARGIN_PER_STD`] derivation allows, measured against libm
-    /// (whose own error is added to the bound).
+    /// (whose own error is added to the bound), in the lanes of the
+    /// kernel's batch.
     #[test]
     fn fast_primitives_stay_within_their_error_bounds() {
         const EPS: f64 = f64::EPSILON / 2.0;
         let mut rng = Rng::seed_from_u64(23);
-        for _ in 0..200_000 {
-            let (u1, u2) = draw_inputs(&mut rng);
-            let exact = u1.ln();
-            let err = (ln_fast(u1) - exact).abs();
-            assert!(err <= 12.0 * EPS * exact.abs(), "ln({u1:e}) off by {err:e}");
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            let (sin, cos) = sincos_2pi_fast(u2);
-            let bound = 6.0 * EPS + 1e-15;
-            assert!(
-                (sin - theta.sin()).abs() <= bound,
-                "sin(2π·{u2:e}) = {sin:e}"
-            );
-            assert!(
-                (cos - theta.cos()).abs() <= bound,
-                "cos(2π·{u2:e}) = {cos:e}"
-            );
+        for _ in 0..200_000 / BATCH {
+            let inputs: [(f64, f64); BATCH] = std::array::from_fn(|_| draw_inputs(&mut rng));
+            let (r, sin, cos) = polar_batch(&inputs.map(|p| p.0), &inputs.map(|p| p.1));
+            for (i, &(u1, u2)) in inputs.iter().enumerate() {
+                let exact = u1.ln();
+                let err = (ln_fast(u1) - exact).abs();
+                assert!(err <= 12.0 * EPS * exact.abs(), "ln({u1:e}) off by {err:e}");
+                // `√` halves `ln`'s relative error and adds its rounding.
+                let exact_r = (-2.0 * exact).sqrt();
+                let err = (r[i] - exact_r).abs();
+                assert!(err <= 8.0 * EPS * exact_r, "r({u1:e}) off by {err:e}");
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                let bound = 6.0 * EPS + 1e-15;
+                assert!(
+                    (sin[i] - theta.sin()).abs() <= bound,
+                    "sin(2π·{u2:e}) = {:e}",
+                    sin[i]
+                );
+                assert!(
+                    (cos[i] - theta.cos()).abs() <= bound,
+                    "cos(2π·{u2:e}) = {:e}",
+                    cos[i]
+                );
+            }
+        }
+    }
+
+    /// Asserts that `jitter`'s next `pairs` pairs of samples are the libm
+    /// pairs of the uniforms `rng` draws, drawn pair by pair.
+    fn assert_replays(jitter: &mut GaussianJitter, rng: &mut Rng, pairs: usize) {
+        let std = jitter.std;
+        for _ in 0..pairs {
+            let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.random();
+            let (first, second) = reference_pair(u1, u2, std);
+            assert_eq!(jitter.sample(), first, "std {std}");
+            assert_eq!(jitter.sample(), second, "std {std}");
         }
     }
 
     #[test]
     fn sampler_replays_the_libm_sampler() {
-        for (seed, std) in [(1, 40.0), (2, 0.3), (3, 1e4)] {
-            let mut jitter = GaussianJitter::new(std, seed);
-            let mut rng = Rng::seed_from_u64(seed);
-            for _ in 0..5_000 {
-                let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.random();
-                let (first, second) = reference_pair(u1, u2, std);
-                assert_eq!(jitter.sample(), first);
-                assert_eq!(jitter.sample(), second);
-            }
+        // 5 000 pairs cross over 300 batch boundaries; from `FAST_STD_MAX`
+        // on, every pair is libm's.
+        for (seed, std) in [(1, 40.0), (2, 0.3), (3, 1e4), (4, FAST_STD_MAX), (5, 2e12)] {
+            let mut jitter = GaussianJitter::new(std, seed).unwrap();
+            assert_replays(&mut jitter, &mut Rng::seed_from_u64(seed), 5_000);
+        }
+        // σ = 0 draws nothing: once σ is positive, the sampler replays the
+        // stream of a fresh one.
+        let mut jitter = GaussianJitter::new(0.0, 6).unwrap();
+        for _ in 0..3 * BATCH {
+            assert_eq!(jitter.sample(), 0);
+        }
+        jitter.std = 40.0;
+        assert_replays(&mut jitter, &mut Rng::seed_from_u64(6), 3 * BATCH);
+        // A clone taken mid-batch, between a pair's two variates, carries
+        // on exactly like the original.
+        let mut jitter = GaussianJitter::new(40.0, 7).unwrap();
+        let mut rng = Rng::seed_from_u64(7);
+        assert_replays(&mut jitter, &mut rng, 2 * BATCH + BATCH / 2);
+        let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
+        let (first, second) = reference_pair(u1, rng.random(), 40.0);
+        assert_eq!(jitter.sample(), first);
+        let mut clone = jitter.clone();
+        assert_eq!(clone.sample(), second);
+        assert_eq!(jitter.sample(), second);
+        assert_replays(&mut clone, &mut rng.clone(), 3 * BATCH);
+        assert_replays(&mut jitter, &mut rng, 3 * BATCH);
+    }
+
+    #[test]
+    fn jitter_rejects_negative_and_non_finite_std() {
+        for std in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    GaussianJitter::new(std, 0),
+                    Err(ModelError::InvalidConfig { .. })
+                ),
+                "std {std} accepted"
+            );
         }
     }
 
     #[test]
     fn apply_never_goes_below_half_base() {
-        let mut j = GaussianJitter::new(500.0, 3);
+        let mut j = GaussianJitter::new(500.0, 3).unwrap();
         for _ in 0..1000 {
             let c = j.apply(Cycles::new(100));
             assert!(c.raw() >= 50);
