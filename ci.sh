@@ -82,6 +82,19 @@ MEE_CAMPAIGN_SHARDS=0 cargo run --release --offline -p mee-bench --bin bench-cam
   --out "${SMOKE_TMP}/bad_knob.json" >/dev/null 2>&1 || status=$?
 [ "${status}" -eq 2 ] ||
   { echo "bench-campaign: expected exit 2 on MEE_CAMPAIGN_SHARDS=0, got ${status}" >&2; exit 1; }
+# So is a malformed MEE_SWEEP_THREADS, in both pool binaries, with the
+# strict-knob message printed verbatim on its own stderr line.
+threads_msg='invalid MEE_SWEEP_THREADS value "0" (must be a positive integer, e.g. MEE_SWEEP_THREADS=4)'
+for bin in bench-campaign bench-resilience; do
+  status=0
+  MEE_SWEEP_THREADS=0 cargo run -q --release --offline -p mee-bench --bin "${bin}" -- 2019 1 \
+    --out "${SMOKE_TMP}/bad_threads.json" >/dev/null 2>"${SMOKE_TMP}/bad_threads.err" || status=$?
+  [ "${status}" -eq 2 ] ||
+    { echo "${bin}: expected exit 2 on MEE_SWEEP_THREADS=0, got ${status}" >&2; exit 1; }
+  grep -qxF "${threads_msg}" "${SMOKE_TMP}/bad_threads.err" ||
+    { echo "${bin}: MEE_SWEEP_THREADS=0 message drifted:" >&2;
+      cat "${SMOKE_TMP}/bad_threads.err" >&2; exit 1; }
+done
 for key in name root_seed sessions_planned shards sessions_aggregated \
            quarantined_shards missing_sessions series count mean var min max \
            p10 p50 p90 p95; do

@@ -24,20 +24,22 @@
 //!   shards. Because per-shard aggregates are pure functions of the shard
 //!   and the final merge is in fixed shard order, *resumed ≡ uninterrupted,
 //!   bit for bit, at any thread count* — proven by tests.
-//! * **Quarantine** — a shard whose body panics or errors is retried under
-//!   a deterministic budget with exponential backoff; when the budget is
-//!   exhausted the shard is quarantined and the campaign **completes
+//! * **Quarantine** — a session body is a pure function of its seed, so a
+//!   shard whose body panics or errors would fail the same way again: it
+//!   is quarantined on that first attempt and the campaign **completes
 //!   anyway**, reporting exactly which sessions (and therefore seeds) are
 //!   missing. Callers exit non-zero on [`CampaignOutcome::is_complete`]
 //!   being false.
 //! * **Watchdog** — an optional per-attempt timeout cancels hung shards
-//!   (cooperatively, via [`ShardCtx::is_cancelled`]) and retries them
-//!   under the same retry budget.
+//!   (cooperatively, via [`ShardCtx::is_cancelled`]). A timeout is the one
+//!   outcome that can change, so only a timed-out attempt is retried, at
+//!   once; a shard that times out on every attempt of a fixed budget is
+//!   quarantined as hung.
 //!
 //! Shards run on [`mee_sweep::Sweep::run`], one sweep item per pending
-//! shard: the worker that takes a shard runs its attempts, retries,
-//! watchdog, and checkpoint itself, and the calling thread merges the
-//! results in shard order; there is no coordinator thread.
+//! shard: the worker that takes a shard runs its attempts, watchdog, and
+//! checkpoint itself, and the calling thread merges the results in shard
+//! order; there is no coordinator thread.
 //!
 //! ```
 //! use mee_campaign::{Campaign, CampaignPlan};
@@ -118,10 +120,14 @@ pub fn dir_from_env() -> Result<Option<PathBuf>, EnvKnobError> {
 ///
 /// # Panics
 ///
-/// Panics when `shards` is zero or `s` out of range.
-pub fn shard_range(sessions: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
-    assert!(shards > 0, "a campaign needs at least one shard");
-    assert!(s < shards, "shard {s} out of range (shards = {shards})");
+/// Panics when `shards` is zero (which [`Campaign::new`] rejects) or `s`
+/// is out of range (the runner only asks for `s < shards`).
+pub(crate) fn shard_range(sessions: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
+    assert!(shards > 0, "zero shards, which Campaign::new rejects");
+    assert!(
+        s < shards,
+        "shard {s} of {shards}: the runner only asks for s < shards"
+    );
     let q = sessions / shards;
     let r = sessions % shards;
     let lo = s * q + s.min(r);
@@ -152,12 +158,6 @@ pub struct CampaignPlan {
     /// missing shards execute. When false, a non-empty `dir` is an error —
     /// stale state must never be mixed in accidentally.
     pub resume: bool,
-    /// How many *extra* attempts a faulting shard gets after its first
-    /// (0 = fail fast).
-    pub retries: u32,
-    /// Base of the deterministic exponential backoff: retry attempt `k`
-    /// (1-based) becomes eligible `backoff · 2^(k−1)` after the fault.
-    pub backoff: Duration,
     /// Per-attempt watchdog timeout; `None` disables the watchdog.
     pub watchdog: Option<Duration>,
     /// Crash injection for tests and the ci.sh kill/resume smoke: after
@@ -168,8 +168,8 @@ pub struct CampaignPlan {
 }
 
 impl CampaignPlan {
-    /// A plan with robustness defaults: 2 retries, 10 ms backoff base, no
-    /// watchdog, no checkpoint dir, environment-default threads.
+    /// A plan with defaults: no watchdog, no checkpoint dir,
+    /// environment-default threads.
     pub fn new(name: impl Into<String>, root_seed: u64, sessions: usize, shards: usize) -> Self {
         CampaignPlan {
             name: name.into(),
@@ -179,8 +179,6 @@ impl CampaignPlan {
             threads: None,
             dir: None,
             resume: false,
-            retries: 2,
-            backoff: Duration::from_millis(10),
             watchdog: None,
             abort_after: None,
         }
@@ -207,20 +205,6 @@ impl CampaignPlan {
         self
     }
 
-    /// Sets the per-shard retry budget (extra attempts after the first).
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the exponential-backoff base.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Enables the per-attempt watchdog.
     #[must_use]
     pub fn watchdog(mut self, timeout: Duration) -> Self {
@@ -236,7 +220,7 @@ impl CampaignPlan {
     }
 
     /// The session range of shard `s` under this plan.
-    pub fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
+    pub(crate) fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
         shard_range(self.sessions, self.shards, s)
     }
 }
@@ -284,11 +268,12 @@ impl ShardCtx {
 /// Why a shard ended up quarantined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// Every attempt panicked; the final enriched payload is preserved.
+    /// An attempt panicked; the enriched payload is preserved. A panic is
+    /// never retried.
     Panicked(String),
-    /// Every attempt returned a session error.
+    /// An attempt returned a session error. An error is never retried.
     Failed(String),
-    /// Every attempt exceeded the watchdog timeout.
+    /// Every attempt of the timeout budget exceeded the watchdog.
     Hung,
 }
 
@@ -311,7 +296,8 @@ pub struct QuarantinedShard {
     pub lo: usize,
     /// One past the last missing session index.
     pub hi: usize,
-    /// Attempts consumed (first try + retries).
+    /// Attempts consumed: 1 for a panic or session error, the whole
+    /// timeout budget for a hung shard.
     pub attempts: u32,
     /// Why the shard was given up on.
     pub reason: QuarantineReason,
@@ -397,7 +383,7 @@ pub enum CampaignError {
     },
     /// A malformed `MEE_SWEEP_THREADS` (surfaced as a value so binaries
     /// exit with a usage message).
-    Threads(mee_sweep::ThreadsEnvError),
+    Threads(EnvKnobError),
     /// Injected crash (`abort_after`) fired: the process state is exactly
     /// a kill after `checkpointed` shards were durably written.
     Aborted {

@@ -1,8 +1,12 @@
 //! The campaign execution engine: every pending shard is one item of a
 //! [`mee_sweep::Sweep::run`], so campaigns and sweeps share one worker
 //! pool. The worker that takes a shard owns it to the end: it runs the
-//! attempts, sleeps out the retry backoff, enforces the watchdog, and
-//! writes the checkpoint. There is no coordinator thread.
+//! attempts, enforces the watchdog, and writes the checkpoint. There is
+//! no coordinator thread.
+//!
+//! Only a watchdog timeout is retried (at once, `TIMEOUT_ATTEMPTS` in all):
+//! a panic or session error would repeat on any retry, so it quarantines
+//! the shard on its first attempt.
 //!
 //! Concurrency model (and why the result is still deterministic):
 //!
@@ -16,8 +20,8 @@
 //!   resumed checkpoints are byte-exact round-trips) of whether any shard
 //!   was computed now or in a previous process.
 //! * Faults (panics, session errors, watchdog timeouts) only ever remove a
-//!   shard from the aggregate (quarantine) or cause a bit-identical
-//!   recompute (retry) — they cannot reorder the fold.
+//!   shard from the aggregate (quarantine) or, after a timeout, cause a
+//!   bit-identical recompute — they cannot reorder the fold.
 //!
 //! Cancellation is cooperative: safe Rust cannot kill a thread, so an
 //! attempt's [`ShardCtx`] reports itself cancelled once its watchdog
@@ -40,6 +44,10 @@ use crate::{
     Campaign, CampaignError, CampaignOutcome, QuarantineReason, QuarantinedShard, SessionSpec,
     ShardCtx, CHECKPOINT_LOAD_SPAN, CHECKPOINT_WRITE_SPAN, SHARD_SPAN,
 };
+
+/// Attempts a shard gets when every one of them times out; after the last
+/// the shard is quarantined as hung.
+const TIMEOUT_ATTEMPTS: u32 = 3;
 
 /// How one attempt at a shard ended.
 enum AttemptOutcome {
@@ -118,8 +126,9 @@ struct Shared<'c> {
 }
 
 impl Shared<'_> {
-    /// Resolves one shard on the calling worker: attempts with retry
-    /// backoff until it completes, is quarantined, or the campaign stops.
+    /// Resolves one shard on the calling worker: attempts until it
+    /// completes, is quarantined, or the campaign stops. Only a timed-out
+    /// attempt is followed by another.
     fn run_shard<F>(&self, shard: usize, body: &F) -> ShardRun
     where
         F: Fn(SessionSpec, &ShardCtx) -> Result<Vec<f64>, String> + Sync,
@@ -130,7 +139,7 @@ impl Shared<'_> {
             host: HostProfile::new(),
             resolution: Resolution::Skipped,
         };
-        for attempt in 0..=plan.retries {
+        for attempt in 0..TIMEOUT_ATTEMPTS {
             if self.stop.load(Ordering::Relaxed) {
                 break;
             }
@@ -144,6 +153,9 @@ impl Shared<'_> {
                 // Late results are stale whatever they hold.
                 _ if deadline.is_some_and(|d| Instant::now() >= d) => {
                     run.events.push(ShardEvent::TimedOut { attempt });
+                    if attempt + 1 < TIMEOUT_ATTEMPTS {
+                        continue;
+                    }
                     QuarantineReason::Hung
                 }
                 AttemptOutcome::Cancelled => break,
@@ -173,31 +185,19 @@ impl Shared<'_> {
                     QuarantineReason::Failed(message)
                 }
             };
-            if attempt < plan.retries {
-                // Deterministic backoff before retry `next`: backoff · 2^(next−1).
-                let next = attempt + 1;
-                let backoff = plan
-                    .backoff
-                    .saturating_mul(1u32.checked_shl(next - 1).unwrap_or(u32::MAX));
-                run.events.push(ShardEvent::Requeued {
-                    attempt: next,
-                    backoff_ms: backoff.as_millis() as u64,
-                });
-                std::thread::sleep(backoff);
-            } else {
-                run.events.push(ShardEvent::Quarantined {
-                    attempts: attempt + 1,
-                    reason: reason.to_string(),
-                });
-                let range = plan.shard_range(shard);
-                run.resolution = Resolution::Quarantined(QuarantinedShard {
-                    shard,
-                    lo: range.start,
-                    hi: range.end,
-                    attempts: attempt + 1,
-                    reason,
-                });
-            }
+            run.events.push(ShardEvent::Quarantined {
+                attempts: attempt + 1,
+                reason: reason.to_string(),
+            });
+            let range = plan.shard_range(shard);
+            run.resolution = Resolution::Quarantined(QuarantinedShard {
+                shard,
+                lo: range.start,
+                hi: range.end,
+                attempts: attempt + 1,
+                reason,
+            });
+            break;
         }
         run
     }
@@ -378,19 +378,15 @@ mod tests {
         assert_eq!(renders[0], renders[2]);
 
         // With faults the event log, too, is a pure function of the
-        // campaign: shard 1 panics once and is retried, shard 3 always
-        // fails and is quarantined.
+        // campaign: shard 1 always panics and shard 3 always fails, and
+        // each is quarantined after its one attempt.
         let mut faulted = Vec::new();
         for threads in [1, 2, 8] {
-            let c = campaign(
-                CampaignPlan::new("t/threads", 2019, 23, 5)
-                    .threads(threads)
-                    .backoff(Duration::from_millis(1)),
-            );
+            let c = campaign(CampaignPlan::new("t/threads", 2019, 23, 5).threads(threads));
             let out = c
                 .run(|spec, ctx| {
-                    if ctx.shard == 1 && ctx.attempt == 0 {
-                        panic!("transient fault");
+                    if ctx.shard == 1 {
+                        panic!("deterministic fault");
                     }
                     if ctx.shard == 3 {
                         return Err("always fails".into());
@@ -398,16 +394,13 @@ mod tests {
                     clean_body(spec, ctx)
                 })
                 .unwrap();
-            assert_eq!(out.completed, vec![0, 1, 2, 4]);
-            assert_eq!(
-                out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })),
-                3
-            );
-            assert_eq!(
-                out.log
-                    .count(|e| matches!(e, ShardEvent::Quarantined { .. })),
-                1
-            );
+            assert_eq!(out.completed, vec![0, 2, 4]);
+            let quarantined: Vec<(usize, u32)> = out
+                .quarantined
+                .iter()
+                .map(|q| (q.shard, q.attempts))
+                .collect();
+            assert_eq!(quarantined, vec![(1, 1), (3, 1)]);
             faulted.push((out.aggregate.render(), out.log.render()));
         }
         assert_eq!(faulted[0], faulted[1]);
@@ -477,7 +470,7 @@ mod tests {
 
     #[test]
     fn panicking_shard_is_quarantined_and_the_rest_completes() {
-        let c = campaign(CampaignPlan::new("t/panic", 7, 12, 4).threads(3).retries(1));
+        let c = campaign(CampaignPlan::new("t/panic", 7, 12, 4).threads(3));
         let bad = c.plan().shard_range(2);
         let out = c
             .run(|spec, _ctx| {
@@ -493,7 +486,7 @@ mod tests {
         let q = &out.quarantined[0];
         assert_eq!(
             (q.shard, q.lo, q.hi, q.attempts),
-            (2, bad.start, bad.end, 2)
+            (2, bad.start, bad.end, 1)
         );
         match &q.reason {
             QuarantineReason::Panicked(msg) => {
@@ -514,40 +507,41 @@ mod tests {
     }
 
     #[test]
-    fn flaky_panic_recovers_on_retry_with_identical_results() {
-        let c = campaign(
-            CampaignPlan::new("t/flaky", 2019, 10, 3)
-                .threads(2)
-                .retries(2),
-        );
+    fn panic_on_the_first_attempt_is_quarantined_without_a_second() {
+        // The body would succeed on attempt 1, but a panic is not retried.
+        let c = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2));
         let out = c
             .run(|spec, ctx| {
                 if ctx.shard == 1 && ctx.attempt == 0 {
-                    panic!("transient fault");
+                    panic!("first-attempt fault");
                 }
                 clean_body(spec, ctx)
             })
             .unwrap();
-        assert!(out.is_complete());
+        assert_eq!(out.completed, vec![0, 2]);
+        assert_eq!(out.quarantined.len(), 1);
         assert_eq!(
-            out.log.count(|e| matches!(e, ShardEvent::Panicked { .. })),
-            1
+            (out.quarantined[0].shard, out.quarantined[0].attempts),
+            (1, 1)
         );
+        let log = out.log.shard(1);
+        assert_eq!(log.len(), 3, "{log:?}");
+        assert_eq!(log[0], ShardEvent::Started { attempt: 0 });
+        assert!(matches!(log[1], ShardEvent::Panicked { attempt: 0, .. }));
+        assert!(matches!(
+            log[2],
+            ShardEvent::Quarantined { attempts: 1, .. }
+        ));
         assert_eq!(
-            out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })),
-            1
+            out.log
+                .count(|e| matches!(e, ShardEvent::Started { attempt: 1 })),
+            0
         );
-
-        // The retried campaign aggregate matches a fault-free run exactly.
-        let clean = campaign(CampaignPlan::new("t/flaky", 2019, 10, 3).threads(2))
-            .run(clean_body)
-            .unwrap();
-        assert_eq!(out.aggregate.render(), clean.aggregate.render());
     }
 
     #[test]
-    fn failing_session_is_retried_then_quarantined_with_recipe() {
-        let c = campaign(CampaignPlan::new("t/fail", 11, 8, 2).threads(2).retries(1));
+    fn failing_session_is_quarantined_after_one_attempt_with_recipe() {
+        let c = campaign(CampaignPlan::new("t/fail", 11, 8, 2).threads(2));
         let out = c
             .run(|spec, ctx| {
                 if ctx.shard == 0 && spec.index == 1 {
@@ -558,7 +552,7 @@ mod tests {
             .unwrap();
         assert!(!out.is_complete());
         let q = &out.quarantined[0];
-        assert_eq!(q.attempts, 2);
+        assert_eq!(q.attempts, 1);
         match &q.reason {
             QuarantineReason::Failed(msg) => {
                 assert!(msg.contains("session 1"), "{msg}");
@@ -574,7 +568,6 @@ mod tests {
         let c = campaign(
             CampaignPlan::new("t/hang", 3, 6, 3)
                 .threads(2)
-                .retries(0)
                 .watchdog(Duration::from_millis(40)),
         );
         let out = c
@@ -593,7 +586,11 @@ mod tests {
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].shard, 1);
         assert_eq!(out.quarantined[0].reason, QuarantineReason::Hung);
-        assert!(out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })) >= 1);
+        assert_eq!(out.quarantined[0].attempts, TIMEOUT_ATTEMPTS);
+        assert_eq!(
+            out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })),
+            TIMEOUT_ATTEMPTS as usize
+        );
         assert_eq!(out.completed, vec![0, 2]);
     }
 
@@ -602,7 +599,6 @@ mod tests {
         let c = campaign(
             CampaignPlan::new("t/late", 3, 2, 2)
                 .threads(2)
-                .retries(0)
                 .watchdog(Duration::from_millis(20)),
         );
         let out = c
@@ -625,8 +621,12 @@ mod tests {
             [
                 ShardEvent::Started { attempt: 0 },
                 ShardEvent::TimedOut { attempt: 0 },
+                ShardEvent::Started { attempt: 1 },
+                ShardEvent::TimedOut { attempt: 1 },
+                ShardEvent::Started { attempt: 2 },
+                ShardEvent::TimedOut { attempt: 2 },
                 ShardEvent::Quarantined {
-                    attempts: 1,
+                    attempts: 3,
                     reason: QuarantineReason::Hung.to_string()
                 },
             ]
@@ -634,11 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn flaky_hang_is_requeued_and_the_campaign_completes() {
+    fn flaky_hang_is_retried_and_the_campaign_completes() {
         let c = campaign(
             CampaignPlan::new("t/flakyhang", 5, 6, 2)
                 .threads(2)
-                .retries(1)
                 .watchdog(Duration::from_millis(40)),
         );
         let out = c
@@ -653,8 +652,18 @@ mod tests {
             })
             .unwrap();
         assert!(out.is_complete(), "report: {}", out.quarantine_report());
-        assert!(out.log.count(|e| matches!(e, ShardEvent::TimedOut { .. })) >= 1);
-        assert!(out.log.count(|e| matches!(e, ShardEvent::Requeued { .. })) >= 1);
+        assert_eq!(
+            out.log.shard(0),
+            [
+                ShardEvent::Started { attempt: 0 },
+                ShardEvent::TimedOut { attempt: 0 },
+                ShardEvent::Started { attempt: 1 },
+                ShardEvent::Completed {
+                    attempt: 1,
+                    sessions: 3
+                },
+            ]
+        );
     }
 
     #[test]

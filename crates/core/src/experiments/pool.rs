@@ -112,8 +112,9 @@ pub fn channel_point(
 ///
 /// [`CampaignError`] for orchestration faults (corrupt checkpoint,
 /// non-empty dir, injected abort…). Per-session model errors do **not**
-/// fail the campaign — their shard retries and then quarantines, and the
-/// outcome reports exactly which sessions are missing.
+/// fail the campaign — a session is a pure function of its seed, so its
+/// shard is quarantined on that first attempt, and the outcome reports
+/// exactly which sessions are missing.
 pub fn run_channel_campaign(
     plan: CampaignPlan,
     cfg: &ChannelConfig,

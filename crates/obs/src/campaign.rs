@@ -2,12 +2,12 @@
 //! campaign run.
 //!
 //! A campaign is a *host-level* orchestration — shards start, checkpoint,
-//! panic, time out, get retried, get quarantined. None of that happens in
-//! simulated time, so these events deliberately do **not** reuse the
-//! sim-cycle [`Event`](crate::Event) taxonomy; they are their own typed
-//! log, keyed by shard so rendering is deterministic (shard order, then
-//! occurrence order within the shard) even though shards execute
-//! concurrently.
+//! panic, fail, time out (and only then start again), get quarantined.
+//! None of that happens in simulated time, so these events deliberately
+//! do **not** reuse the sim-cycle [`Event`](crate::Event) taxonomy; they
+//! are their own typed log, keyed by shard so rendering is deterministic
+//! (shard order, then occurrence order within the shard) even though
+//! shards execute concurrently.
 //!
 //! Host *durations* of campaign work (shard bodies, checkpoint I/O) go
 //! through [`HostProfile`](crate::HostProfile) as usual; this module only
@@ -56,16 +56,8 @@ pub enum ShardEvent {
         /// The attempt that was abandoned.
         attempt: u32,
     },
-    /// The shard will be attempted again: the worker that owns it sleeps
-    /// out the backoff and then retries on the same thread.
-    Requeued {
-        /// The attempt number the shard will retry as.
-        attempt: u32,
-        /// The deterministic exponential-backoff delay the worker sleeps
-        /// before the retry, in milliseconds.
-        backoff_ms: u64,
-    },
-    /// The retry budget is exhausted; the shard is excluded from the
+    /// The shard is given up on (after a panic or error at once, after a
+    /// timeout once the timeout budget is spent); it is excluded from the
     /// aggregate and reported in the quarantine list.
     Quarantined {
         /// Total attempts consumed (including the first).
@@ -91,12 +83,6 @@ impl fmt::Display for ShardEvent {
                 write!(f, "failed attempt={attempt}: {message}")
             }
             ShardEvent::TimedOut { attempt } => write!(f, "timed-out attempt={attempt}"),
-            ShardEvent::Requeued {
-                attempt,
-                backoff_ms,
-            } => {
-                write!(f, "requeued attempt={attempt} backoff_ms={backoff_ms}")
-            }
             ShardEvent::Quarantined { attempts, reason } => {
                 write!(f, "quarantined attempts={attempts}: {reason}")
             }
@@ -180,17 +166,9 @@ mod tests {
                 message: "boom".into(),
             },
         );
-        log.record(
-            0,
-            ShardEvent::Requeued {
-                attempt: 1,
-                backoff_ms: 10,
-            },
-        );
         let rendered = log.render();
         let expected = "shard 0: started attempt=0\n\
                         shard 0: panicked attempt=0: boom\n\
-                        shard 0: requeued attempt=1 backoff_ms=10\n\
                         shard 2: started attempt=0\n\
                         shard 2: completed attempt=0 sessions=4\n";
         assert_eq!(rendered, expected);

@@ -140,6 +140,7 @@ mod tests {
             "many",
             "",
             "4.5",
+            "0x10",
             "999999999999999999999999999999",
         ] {
             let err = parse_positive::<usize>("MEE_TEST_KNOB", bad).unwrap_err();

@@ -38,6 +38,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use mee_rng::env_knob::{self, EnvKnobError};
 use mee_rng::stream_seed;
 
 /// Best-effort extraction of a panic payload's human-readable message
@@ -57,47 +58,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Environment variable pinning the worker-thread count of every sweep
 /// built with [`Sweep::from_env`].
 pub const THREADS_ENV: &str = "MEE_SWEEP_THREADS";
-
-/// A rejected `MEE_SWEEP_THREADS` override: the raw value that failed to
-/// parse as a positive thread count (zero, negative, non-numeric, or
-/// overflowing `usize`).
-///
-/// Mirrors the policy of the bench harness's argument parsing: a typo'd
-/// override is a hard error with the offending value echoed back, never a
-/// silent fallback to a default.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadsEnvError {
-    /// The offending raw value of the variable.
-    pub value: String,
-}
-
-impl std::fmt::Display for ThreadsEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {THREADS_ENV} value {:?} (must be a positive integer, e.g. {THREADS_ENV}=4)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for ThreadsEnvError {}
-
-/// Parses a `MEE_SWEEP_THREADS` override.
-///
-/// # Errors
-///
-/// Returns a [`ThreadsEnvError`] echoing the value when it is not a
-/// positive integer that fits in `usize` (`"0"`, `"-2"`, `"many"`, and
-/// a 30-digit overflow all fail the same way).
-pub fn parse_threads_override(value: &str) -> Result<usize, ThreadsEnvError> {
-    // Delegates to the workspace-wide knob grammar so MEE_SWEEP_THREADS
-    // accepts and rejects exactly what MEE_PROP_CASES / MEE_CAMPAIGN_SHARDS
-    // do; the sweep-specific error type stays for API stability.
-    mee_rng::env_knob::parse_positive::<usize>(THREADS_ENV, value).map_err(|_| ThreadsEnvError {
-        value: value.to_owned(),
-    })
-}
 
 /// One session of a seed sweep: its position in the sweep and the RNG seed
 /// derived for it.
@@ -179,11 +139,12 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Returns a [`ThreadsEnvError`] when the variable is set to anything
-    /// but a positive integer (zero, garbage, or an overflowing number).
-    pub fn from_env() -> Result<Self, ThreadsEnvError> {
+    /// Returns the strict-knob [`EnvKnobError`] when the variable is set
+    /// to anything but a positive integer (zero, garbage, or an
+    /// overflowing number).
+    pub fn from_env() -> Result<Self, EnvKnobError> {
         let threads = match std::env::var(THREADS_ENV) {
-            Ok(v) => parse_threads_override(&v)?,
+            Ok(v) => env_knob::parse_positive(THREADS_ENV, &v)?,
             Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
         Ok(Sweep { threads })
@@ -462,30 +423,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = Sweep::with_threads(0);
-    }
-
-    #[test]
-    fn threads_override_parsing_accepts_positive_integers_only() {
-        assert_eq!(parse_threads_override("1"), Ok(1));
-        assert_eq!(parse_threads_override("64"), Ok(64));
-        assert_eq!(parse_threads_override(" 8 "), Ok(8), "whitespace trimmed");
-        for bad in [
-            "0",
-            "-2",
-            "",
-            "many",
-            "4.5",
-            "0x10",
-            "999999999999999999999999999999",
-        ] {
-            let err = parse_threads_override(bad).unwrap_err();
-            assert_eq!(err.value, bad, "error must echo the offending value");
-            let msg = err.to_string();
-            assert!(
-                msg.contains(THREADS_ENV) && msg.contains("positive integer"),
-                "unhelpful error for {bad:?}: {msg}"
-            );
-        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //!   thread count reproduces the uninterrupted aggregate byte for byte;
 //! * corrupt-checkpoint detection — one flipped byte in a shard file is a
 //!   loud typed error carrying a replay recipe, never a silent recompute;
+//! * first-attempt quarantine — a session error is deterministic, so each
+//!   failing shard is quarantined after one attempt with its replay recipe;
 //! * a golden snapshot of the seed-2019 campaign aggregate (including the
 //!   quantile-sketch buckets), pinned under the `MEE_BLESS=1` flow shared
 //!   with `tests/golden.rs`.
@@ -13,8 +15,10 @@ use std::path::PathBuf;
 
 use mee_covert::attack::channel::ChannelConfig;
 use mee_covert::attack::experiments::run_channel_campaign;
-use mee_covert::campaign::{CampaignError, CampaignPlan, CheckpointError};
+use mee_covert::campaign::{CampaignError, CampaignPlan, CheckpointError, QuarantineReason};
+use mee_covert::rng::stream_seed;
 use mee_covert::testbed;
+use mee_covert::types::Cycles;
 
 /// One small real-session campaign: 4 end-to-end channel sessions (8 bits
 /// each) over 3 shards — big enough to exercise resume, small enough for
@@ -97,6 +101,37 @@ fn corrupt_checkpoint_fails_loudly_with_a_replay_recipe() {
         other => panic!("expected a typed corruption error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failing_sessions_are_quarantined_after_one_attempt_with_the_recipe() {
+    // A zero window fails `cfg.validate()` inside establishment, before
+    // any simulated op: a deterministic `ModelError` in every session.
+    let cfg = ChannelConfig {
+        window: Cycles::ZERO,
+        ..ChannelConfig::sweep_setup()
+    };
+    let mut p = plan(None);
+    p.threads = Some(2);
+    let outcome = run_channel_campaign(p, &cfg, 8).unwrap();
+    assert!(outcome.completed.is_empty());
+    assert_eq!(outcome.aggregate.sessions, 0);
+    assert_eq!(outcome.missing_sessions(), (0..4).collect::<Vec<_>>());
+    let shards: Vec<usize> = outcome.quarantined.iter().map(|q| q.shard).collect();
+    assert_eq!(shards, vec![0, 1, 2]);
+    for q in &outcome.quarantined {
+        assert_eq!(q.attempts, 1, "shard {}", q.shard);
+        let QuarantineReason::Failed(msg) = &q.reason else {
+            panic!("shard {}: expected Failed, got {:?}", q.shard, q.reason);
+        };
+        assert!(msg.contains("window must be non-zero"), "{msg}");
+        let recipe = format!("stream_seed({}, {})", testbed::SEED, q.lo);
+        assert!(msg.contains(&recipe), "no {recipe} in: {msg}");
+        let seed = format!("seed 0x{:016x}", stream_seed(testbed::SEED, q.lo as u64));
+        assert!(msg.contains(&seed), "no {seed} in: {msg}");
+    }
+    let log = outcome.log.render();
+    assert!(!log.contains("started attempt=1"), "{log}");
 }
 
 // ---- Golden snapshot (same bless flow as tests/golden.rs). ----
