@@ -95,6 +95,24 @@ for bin in bench-campaign bench-resilience; do
     { echo "${bin}: MEE_SWEEP_THREADS=0 message drifted:" >&2;
       cat "${SMOKE_TMP}/bad_threads.err" >&2; exit 1; }
 done
+# bench-trace reads MEE_TRACE once and rejects a malformed value the same
+# way; `--trace` is bench-trace's own flag, so the pool binaries reject it.
+trace_msg='invalid MEE_TRACE value "abc" (must be an unsigned integer, e.g. MEE_TRACE=42)'
+status=0
+MEE_TRACE=abc cargo run -q --release --offline -p mee-bench --bin bench-trace -- 2019 1 \
+  --out "${SMOKE_TMP}/bad_trace.json" >/dev/null 2>"${SMOKE_TMP}/bad_trace.err" || status=$?
+[ "${status}" -eq 2 ] ||
+  { echo "bench-trace: expected exit 2 on MEE_TRACE=abc, got ${status}" >&2; exit 1; }
+grep -qxF "${trace_msg}" "${SMOKE_TMP}/bad_trace.err" ||
+  { echo "bench-trace: MEE_TRACE=abc message drifted:" >&2;
+    cat "${SMOKE_TMP}/bad_trace.err" >&2; exit 1; }
+for bin in bench-campaign bench-resilience; do
+  status=0
+  cargo run -q --release --offline -p mee-bench --bin "${bin}" -- 2019 1 --trace 64 \
+    --out "${SMOKE_TMP}/bad_flag.json" >/dev/null 2>&1 || status=$?
+  [ "${status}" -eq 2 ] ||
+    { echo "${bin}: expected exit 2 on --trace, got ${status}" >&2; exit 1; }
+done
 for key in name root_seed sessions_planned shards sessions_aggregated \
            quarantined_shards missing_sessions series count mean var min max \
            p10 p50 p90 p95; do

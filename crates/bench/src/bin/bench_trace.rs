@@ -12,8 +12,9 @@
 //! * one summary JSON line on stdout: event/category counts, ring drops,
 //!   and the metrics-vs-engine reconciliation verdict;
 //! * `scale` multiplies the payload (32 bits ×); `--trace` / `MEE_TRACE`
-//!   size the event ring (default 2²⁰ events — tracing is the point of
-//!   this binary, so `--trace 0` is rejected);
+//!   size the event ring, the flag winning (default 2²⁰ events — tracing
+//!   is the point of this binary, so a capacity of 0 is rejected, as is a
+//!   malformed `MEE_TRACE`, with exit status 2);
 //! * exits 1 if the traced session does not cover all four event
 //!   categories (memory, tree, fault, channel) or if the per-core metric
 //!   counters disagree with the engine's own end-of-run statistics.
@@ -34,20 +35,57 @@ use mee_obs::{chrome_trace, ChromeTraceOptions};
 use mee_rng::stream_seed;
 use mee_types::Cycles;
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let capacity = match args.trace_capacity() {
-        Some(n) => n,
-        None if args.trace.is_none() && mee_obs::env_capacity().is_none() => {
-            mee_obs::DEFAULT_RING_CAPACITY
+/// Splits `--trace EVENTS` off the arguments; the rest go to the shared
+/// [`HarnessArgs`] grammar.
+fn split_trace_flag<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<(Option<usize>, Vec<String>), String> {
+    let mut trace = None;
+    let mut rest = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(s) = it.next() {
+        if s == "--trace" {
+            let v = it.next().unwrap_or_else(|| "<missing>".into());
+            let events = v.parse().map_err(|_| {
+                format!(
+                    "invalid trace argument {v:?} (usage: [seed:u64] [scale:usize>=1] \
+                     [--out PATH] [--trace EVENTS])"
+                )
+            })?;
+            trace = Some(events);
+        } else {
+            rest.push(s);
         }
-        None => {
-            eprintln!(
-                "bench-trace exports a trace; enable tracing (--trace N>0, or unset MEE_TRACE=0)"
-            );
-            std::process::exit(2);
-        }
+    }
+    Ok((trace, rest))
+}
+
+/// The event-ring capacity: the `--trace` flag, else `MEE_TRACE`, else the
+/// default ring. The environment is read once, here.
+fn capacity(flag: Option<usize>) -> Result<usize, String> {
+    let requested = match flag {
+        Some(n) => Some(n),
+        None => mee_obs::env_capacity().map_err(|e| e.to_string())?,
     };
+    match requested {
+        None => Ok(mee_obs::DEFAULT_RING_CAPACITY),
+        Some(0) => Err(
+            "bench-trace exports a trace; enable tracing (--trace N>0, or unset MEE_TRACE=0)"
+                .into(),
+        ),
+        Some(n) => Ok(n),
+    }
+}
+
+fn main() {
+    let parsed = split_trace_flag(std::env::args().skip(1)).and_then(|(flag, rest)| {
+        let args = HarnessArgs::parse(rest).map_err(|e| e.to_string())?;
+        Ok((args, capacity(flag)?))
+    });
+    let (args, capacity) = parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     let bits = 32 * args.scale;
 
     // Tracing goes on before the first memory op, so the metrics registry
@@ -139,5 +177,39 @@ fn main() {
             eprintln!("trace is missing the {want:?} category (got {categories:?})");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn trace_flag_is_split_off_anywhere() {
+        let (trace, rest) = split_trace_flag(args(&["7", "--trace", "4096", "2"])).unwrap();
+        assert_eq!(trace, Some(4096));
+        assert_eq!(rest, args(&["7", "2"]));
+        let (trace, rest) = split_trace_flag(args(&["--out", "x.json"])).unwrap();
+        assert_eq!(trace, None);
+        assert_eq!(rest, args(&["--out", "x.json"]));
+    }
+
+    #[test]
+    fn trace_flag_rejects_garbage() {
+        for bad in [&["--trace"][..], &["--trace", "big"], &["--trace", "-1"]] {
+            let e = split_trace_flag(args(bad)).unwrap_err();
+            assert!(e.starts_with("invalid trace argument"), "{bad:?}: {e}");
+        }
+    }
+
+    /// The flag beats the environment, so these cases never read it.
+    #[test]
+    fn a_zero_capacity_is_rejected() {
+        assert_eq!(capacity(Some(64)), Ok(64));
+        assert!(capacity(Some(0)).unwrap_err().contains("enable tracing"));
     }
 }

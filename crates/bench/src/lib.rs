@@ -34,15 +34,13 @@ pub struct HarnessArgs {
     /// Output artifact path override (`--out <path>`); `None` keeps each
     /// binary's default (stdout only, or its conventional `BENCH_*.json`).
     pub out: Option<std::path::PathBuf>,
-    /// Trace-ring capacity request (`--trace <events>`); `0` forces
-    /// tracing off, `None` defers to the `MEE_TRACE` environment knob.
-    pub trace: Option<u64>,
 }
 
 /// A rejected command-line argument: which position, and the bad value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError {
-    /// Name of the argument that failed to parse (`seed` or `scale`).
+    /// Name of the argument that failed to parse (`seed`, `scale`,
+    /// `threads`, `out`, or `flag` for a flag outside the grammar).
     pub arg: &'static str,
     /// The offending raw value.
     pub value: String,
@@ -53,7 +51,7 @@ impl std::fmt::Display for ArgError {
         write!(
             f,
             "invalid {} argument {:?} (usage: [seed:u64] [scale:usize>=1] \
-             [--threads N>=1] [--out PATH] [--trace EVENTS])",
+             [--threads N>=1] [--out PATH])",
             self.arg, self.value
         )
     }
@@ -68,24 +66,22 @@ impl Default for HarnessArgs {
             scale: 1,
             threads: None,
             out: None,
-            trace: None,
         }
     }
 }
 
 impl HarnessArgs {
-    /// Parses `[seed] [scale] [--threads N] [--out PATH] [--trace EVENTS]`
-    /// from an iterator of arguments (typically
-    /// `std::env::args().skip(1)`). Flags may appear anywhere; the
-    /// positionals keep their order.
+    /// Parses `[seed] [scale] [--threads N] [--out PATH]` from an iterator
+    /// of arguments (typically `std::env::args().skip(1)`). Flags may
+    /// appear anywhere; the positionals keep their order.
     ///
     /// # Errors
     ///
     /// Returns an [`ArgError`] naming the offending argument when `seed`
     /// is not a `u64`, `scale` is not a positive integer, `--threads` is
-    /// missing/zero/non-numeric, `--out` is missing its path, or `--trace`
-    /// is missing/non-numeric (`--trace 0` is valid: it forces tracing
-    /// off). Omitted arguments take their defaults.
+    /// missing/zero/non-numeric, `--out` is missing its path, or any other
+    /// `--` flag appears (a binary with flags of its own peels them off
+    /// first). Omitted arguments take their defaults.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut out = HarnessArgs::default();
         let mut positionals = Vec::new();
@@ -113,16 +109,11 @@ impl HarnessArgs {
                     value: "<missing>".into(),
                 })?;
                 out.out = Some(std::path::PathBuf::from(v));
-            } else if s == "--trace" {
-                let v = it.next().ok_or(ArgError {
-                    arg: "trace",
-                    value: "<missing>".into(),
-                })?;
-                let trace: u64 = v.parse().map_err(|_| ArgError {
-                    arg: "trace",
-                    value: v.clone(),
-                })?;
-                out.trace = Some(trace);
+            } else if s.starts_with("--") {
+                return Err(ArgError {
+                    arg: "flag",
+                    value: s,
+                });
             } else {
                 positionals.push(s);
             }
@@ -169,23 +160,6 @@ impl HarnessArgs {
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from(default))
     }
-
-    /// The effective trace-ring capacity: the `--trace` flag beats the
-    /// `MEE_TRACE` environment knob; a value of `0` from either source —
-    /// or neither being set — disables tracing (`None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MEE_TRACE` is consulted and set to a malformed value
-    /// (the workspace-wide strict-knob policy: a typo'd override must
-    /// never silently fall back to a default).
-    pub fn trace_capacity(&self) -> Option<usize> {
-        let raw = match self.trace {
-            Some(n) => usize::try_from(n).expect("trace capacity fits usize"),
-            None => mee_obs::env_capacity()?,
-        };
-        (raw > 0).then_some(raw)
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +173,6 @@ mod tests {
         assert_eq!((a.seed, a.scale), (2019, 1));
         assert_eq!(a.threads, None);
         assert_eq!(a.out, None);
-        assert_eq!(a.trace, None);
     }
 
     #[test]
@@ -272,21 +245,13 @@ mod tests {
         assert_eq!(e.value, "<missing>");
     }
 
+    /// A flag outside the shared grammar is an error, not a positional
+    /// or a silently ignored option: `--trace` belongs to `bench-trace`.
     #[test]
-    fn trace_flag_parses_and_zero_disables() {
-        let a = HarnessArgs::parse(vec!["--trace".into(), "4096".into()]).unwrap();
-        assert_eq!(a.trace, Some(4096));
-        assert_eq!(a.trace_capacity(), Some(4096));
-        let b = HarnessArgs::parse(vec!["--trace".into(), "0".into()]).unwrap();
-        assert_eq!(b.trace, Some(0));
-        assert_eq!(b.trace_capacity(), None, "--trace 0 forces tracing off");
-    }
-
-    #[test]
-    fn trace_flag_rejects_garbage() {
-        for bad in [vec!["--trace".into()], vec!["--trace".into(), "big".into()]] {
-            let e = HarnessArgs::parse(bad).unwrap_err();
-            assert_eq!(e.arg, "trace");
+    fn unknown_flags_are_rejected() {
+        for flag in ["--trace", "--dir", "--"] {
+            let e = HarnessArgs::parse(vec!["7".into(), flag.into(), "64".into()]).unwrap_err();
+            assert_eq!((e.arg, e.value.as_str()), ("flag", flag));
         }
     }
 

@@ -173,8 +173,8 @@ pub fn usage() -> String {
 /// # Errors
 ///
 /// Returns the message to print before exiting with status 2: the usage
-/// line for a missing or unknown experiment or for a `--threads`, `--out`
-/// or `--trace` flag (`repro` honours none of them), or the
+/// line for a missing or unknown experiment or for any flag (`repro`
+/// honours none, `--threads` and `--out` included), or the
 /// [`HarnessArgs`] error for a malformed seed or scale.
 pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Selection, HarnessArgs), String> {
     let mut args = args.into_iter();
@@ -187,14 +187,17 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Selection, Harn
             None => return Err(format!("unknown experiment {name:?}\n{}", usage())),
         }
     };
-    let harness = HarnessArgs::parse(args).map_err(|e| e.to_string())?;
+    let refuse = |flag: &str| format!("repro does not take {flag}\n{}", usage());
+    let harness = HarnessArgs::parse(args).map_err(|e| match e.arg {
+        "flag" => refuse(&e.value),
+        _ => e.to_string(),
+    })?;
     let ignored = [
         ("--threads", harness.threads.is_some()),
         ("--out", harness.out.is_some()),
-        ("--trace", harness.trace.is_some()),
     ];
     if let Some((flag, _)) = ignored.iter().find(|(_, given)| *given) {
-        return Err(format!("repro does not take {flag}\n{}", usage()));
+        return Err(refuse(flag));
     }
     Ok((selection, harness))
 }
@@ -280,6 +283,7 @@ mod tests {
             &["--threads", "3"][..],
             &["--out", "x.json"],
             &["--trace", "64"],
+            &["--dir", "runs"],
         ] {
             let mut argv = args(&["fig8", "2019", "1"]);
             argv.extend(args(flags));

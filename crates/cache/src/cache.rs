@@ -81,6 +81,14 @@ impl CacheConfig {
     pub fn capacity_bytes(&self) -> usize {
         self.sets * self.ways * self.line_size
     }
+
+    /// The way mask with every way's bit set (`u64::MAX` at 64 ways).
+    pub fn all_ways(&self) -> u64 {
+        match self.ways {
+            64.. => u64::MAX,
+            ways => (1 << ways) - 1,
+        }
+    }
 }
 
 /// Outcome of one [`SetAssocCache::access`].
@@ -109,6 +117,10 @@ pub struct SetAssocCache {
     /// lookups compare tags only at the valid ways, and a lookup in an
     /// empty set is one load.
     valid: Vec<u64>,
+    /// Bit `w` set iff misses may fill way `w`: every way by default, fewer
+    /// under way partitioning (§5.5). Lookups ignore it: a hit in a way
+    /// the mask excludes is still a hit.
+    fill_mask: u64,
     policy: Policy,
     stats: CacheStats,
     /// Resident-line count, so empty-cache invalidation sweeps are O(1).
@@ -169,6 +181,7 @@ impl SetAssocCache {
         SetAssocCache {
             tags: vec![EMPTY; cfg.sets * cfg.ways],
             valid: vec![0; cfg.sets],
+            fill_mask: cfg.all_ways(),
             set_mask: cfg.sets.is_power_of_two().then(|| cfg.sets as u64 - 1),
             cfg,
             policy,
@@ -191,66 +204,45 @@ impl SetAssocCache {
         }
     }
 
-    /// Accesses `line`: on a miss the line is filled, possibly evicting a
-    /// victim chosen by the replacement policy.
+    /// Restricts future fills, and so victim selection, to the ways set
+    /// in `mask` — the primitive behind way partitioning (§5.5 mitigation
+    /// experiment). Resident lines stay where they are.
     ///
-    /// Equivalent to [`Self::access_in_ways`] with an all-`true` mask, but
-    /// without the mask checks: this is the path every simulated memory op
-    /// takes.
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`], leaving the mask unchanged,
+    /// if `mask` allows no way or sets a bit at or above the way count.
+    pub fn set_fill_mask(&mut self, mask: u64) -> Result<(), ModelError> {
+        let all = self.cfg.all_ways();
+        if mask == 0 || mask & !all != 0 {
+            return Err(ModelError::InvalidConfig {
+                reason: format!(
+                    "fill mask {mask:#x} must allow at least one of {} ways and no other",
+                    self.cfg.ways
+                ),
+            });
+        }
+        self.fill_mask = mask;
+        Ok(())
+    }
+
+    /// Accesses `line`: on a miss the line fills the lowest empty way the
+    /// fill mask allows or, when every allowed way is occupied, evicts the
+    /// replacement policy's victim among them.
     pub fn access(&mut self, line: LineAddr) -> AccessResult {
         let set = self.set_of(line);
         if let Some(way) = self.find_way(set, line) {
             return self.hit(set, way);
         }
         self.stats.misses += 1;
-        let empty = (!self.valid[set]).trailing_zeros() as usize;
-        let (way, evicted) = if empty < self.cfg.ways {
+        let free = !self.valid[set] & self.fill_mask;
+        let (way, evicted) = if free != 0 {
             self.resident += 1;
-            (empty, None)
+            (free.trailing_zeros() as usize, None)
         } else {
-            // No empty way means every way is occupied, so the victim
-            // mask is all-true — take the policy's mask-free path.
-            let w = self.policy.victim_all(set, self.cfg.ways);
+            let w = self.policy.victim(set, self.fill_mask);
             self.stats.evictions += 1;
             (w, Some(decode(self.tags[set * self.cfg.ways + w])))
-        };
-        self.fill(set, way, line, evicted)
-    }
-
-    /// Accesses `line`, but restricts fills (and victim selection) to the
-    /// ways marked `true` in `way_mask` — the primitive behind way
-    /// partitioning (§5.5 mitigation experiments).
-    ///
-    /// A *hit* in a disallowed way still counts as a hit: partitioning
-    /// controls insertion, not lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way_mask.len() != ways` or no way is allowed.
-    pub fn access_in_ways(&mut self, line: LineAddr, way_mask: &[bool]) -> AccessResult {
-        assert_eq!(way_mask.len(), self.cfg.ways, "way mask length mismatch");
-        assert!(way_mask.iter().any(|&b| b), "way mask allows no ways");
-        let set = self.set_of(line);
-        if let Some(way) = self.find_way(set, line) {
-            return self.hit(set, way);
-        }
-
-        // Miss path: prefer an empty allowed way.
-        self.stats.misses += 1;
-        let valid = self.valid[set];
-        let empty = (0..self.cfg.ways).find(|&w| way_mask[w] && valid >> w & 1 == 0);
-        let (way, evicted) = match empty {
-            Some(w) => {
-                self.resident += 1;
-                (w, None)
-            }
-            None => {
-                // Every allowed way is occupied, so the mask already
-                // names exactly the occupied candidates.
-                let w = self.policy.victim(set, way_mask);
-                self.stats.evictions += 1;
-                (w, Some(decode(self.tags[set * self.cfg.ways + w])))
-            }
         };
         self.fill(set, way, line, evicted)
     }
@@ -297,17 +289,17 @@ impl SetAssocCache {
     }
 
     /// The `(set, way)` a fill of `line` would take without evicting: the
-    /// set's lowest empty way, the one [`Self::access`] picks on a miss.
-    /// `None` when `line` is resident or its set is full. Read-only: no
-    /// policy or statistics update.
+    /// set's lowest empty allowed way, the one [`Self::access`] picks on a
+    /// miss. `None` when `line` is resident or every allowed way of its set
+    /// is occupied. Read-only: no policy or statistics update.
     #[inline]
     pub fn free_way(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
-        let empty = (!self.valid[set]).trailing_zeros() as usize;
-        if empty >= self.cfg.ways || self.find_way(set, line).is_some() {
+        let free = !self.valid[set] & self.fill_mask;
+        if free == 0 || self.find_way(set, line).is_some() {
             return None;
         }
-        Some((set, empty))
+        Some((set, free.trailing_zeros() as usize))
     }
 
     /// Applies a miss that fills the empty `way` of `set` and the
@@ -623,8 +615,8 @@ mod tests {
         assert!(c.invalidate(b)); // frees way 1; tree must now point AT way 1
                                   // Way-partitioned fill that may not use the freed way: the policy
                                   // falls back from way 1 to the first allowed way (0), evicting A.
-        let mask = [true, false, true, true];
-        let r = c.access_in_ways(LineAddr::new(4), &mask);
+        c.set_fill_mask(0b1101).unwrap();
+        let r = c.access(LineAddr::new(4));
         assert_eq!(r.evicted, Some(a), "stale PLRU bits survived on_invalidate");
     }
 
@@ -632,9 +624,9 @@ mod tests {
     fn way_mask_restricts_fills() {
         let cfg = CacheConfig::from_capacity(8 * 64, 8, 64).unwrap(); // 1 set x 8 ways
         let mut c = SetAssocCache::new(cfg, TrueLru::new());
-        let mask: Vec<bool> = (0..8).map(|w| w < 2).collect(); // only ways 0-1
+        c.set_fill_mask(0b11).unwrap(); // only ways 0-1
         for i in 0..4 {
-            c.access_in_ways(LineAddr::new(i), &mask);
+            c.access(LineAddr::new(i));
         }
         // Only 2 ways allowed: at most 2 resident at once.
         assert_eq!(c.occupancy(), 2);
@@ -648,15 +640,38 @@ mod tests {
         let mut c = SetAssocCache::new(cfg, TrueLru::new());
         let line = LineAddr::new(0);
         c.access(line); // fills way 0 (unrestricted)
-        let mask: Vec<bool> = (0..8).map(|w| w >= 4).collect();
-        assert!(c.access_in_ways(line, &mask).hit);
+        c.set_fill_mask(0xf0).unwrap();
+        assert!(c.access(line).hit);
     }
 
+    /// A mask that allows no way, or names a way the cache lacks, is a
+    /// typed error that leaves the current mask in force.
     #[test]
-    #[should_panic(expected = "allows no ways")]
-    fn empty_mask_panics() {
-        let mut c = small_lru();
-        c.access_in_ways(LineAddr::new(0), &[false, false]);
+    fn bad_fill_masks_are_typed_errors() {
+        let mut c = small_lru(); // 2 ways
+        for bad in [0, 0b100, 1 << 63] {
+            assert!(
+                matches!(c.set_fill_mask(bad), Err(ModelError::InvalidConfig { .. })),
+                "mask {bad:#b} accepted"
+            );
+        }
+        c.set_fill_mask(0b10).unwrap();
+        assert!(c.set_fill_mask(0).is_err());
+        assert_eq!(c.free_way(LineAddr::new(0)), Some((0, 1)));
+    }
+
+    /// At 64 ways the default mask is every bit of the word: all 64 ways
+    /// fill before the first eviction.
+    #[test]
+    fn sixty_four_ways_fill_every_way() {
+        let cfg = CacheConfig::from_capacity(64 * 64, 64, 64).unwrap(); // 1 set
+        assert_eq!(cfg.all_ways(), u64::MAX);
+        let mut c = SetAssocCache::new(cfg, TrueLru::new());
+        for i in 0..64 {
+            assert_eq!(c.access(LineAddr::new(i)).evicted, None);
+        }
+        assert_eq!(c.access(LineAddr::new(64)).evicted, Some(LineAddr::new(0)));
+        c.set_fill_mask(u64::MAX).unwrap();
     }
 
     #[test]
@@ -765,31 +780,35 @@ mod tests {
         );
     }
 
+    /// A random non-empty fill mask over `cfg`'s ways.
+    fn random_mask(rng: &mut mee_rng::Rng, cfg: CacheConfig) -> u64 {
+        rng.next_u64() & cfg.all_ways() | 1 << rng.random_range(0..cfg.ways)
+    }
+
     /// `fill_then_invalidate` at the way `free_way` names equals `access`
     /// followed by `invalidate` of the line, for every policy, from seeded
-    /// random set states: same statistics and residents after every op,
-    /// and the same policy state, read back through the victims of a burst
-    /// of plain and way-masked fills (`TrueLru`'s clock and
-    /// `RandomEviction`'s RNG included). `free_way` must refuse exactly the
-    /// resident lines and full sets.
+    /// random set states and under random fill masks: same statistics and
+    /// residents after every op, and the same policy state, read back
+    /// through the victims of a burst of fills under full and partial
+    /// masks (`TrueLru`'s clock and `RandomEviction`'s RNG included).
+    /// `free_way` must refuse exactly the resident lines and the sets whose
+    /// allowed ways are all occupied.
     #[test]
     fn fill_then_invalidate_matches_access_then_invalidate() {
-        use crate::policy::{Fifo, Nru, RandomEviction, Srrip};
+        use crate::policy::{RandomEviction, Srrip};
         check(
             "fill_then_invalidate_matches_access_then_invalidate",
             &PropConfig::from_env(256),
             |rng| {
                 const SETS: usize = 4;
-                let policy = rng.random_range(0u64..6);
+                let policy = rng.random_range(0u64..4);
                 let seed = rng.random_range(0u64..1000);
                 let ways = pick(rng, &[1usize, 2, 4, 8]);
                 let mk = || -> Policy {
                     match policy {
                         0 => TreePlru::new().into(),
                         1 => TrueLru::new().into(),
-                        2 => Fifo::new().into(),
-                        3 => Nru::new().into(),
-                        4 => Srrip::new().into(),
+                        2 => Srrip::new().into(),
                         _ => RandomEviction::with_seed(seed).into(),
                     }
                 };
@@ -803,13 +822,11 @@ mod tests {
                         0 => assert_eq!(fused.access(line), split.access(line)),
                         1 => assert_eq!(fused.invalidate(line), split.invalidate(line)),
                         2 => {
-                            let mut mask =
-                                vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
-                            mask[rng.random_range(0..ways)] = true;
-                            assert_eq!(
-                                fused.access_in_ways(line, &mask),
-                                split.access_in_ways(line, &mask)
-                            );
+                            // The mask stays in force for the ops after it.
+                            let mask = random_mask(rng, cfg);
+                            fused.set_fill_mask(mask).unwrap();
+                            split.set_fill_mask(mask).unwrap();
+                            assert_eq!(fused.access(line), split.access(line));
                         }
                         _ => {
                             let set = split.set_of(line);
@@ -823,8 +840,9 @@ mod tests {
                                     assert!(split.invalidate(line));
                                 }
                                 None => {
+                                    let mask = split.fill_mask;
                                     assert!(
-                                        split.contains(line) || split.set_occupancy(set) == ways
+                                        split.contains(line) || split.valid[set] & mask == mask
                                     );
                                     for c in [&mut fused, &mut split] {
                                         c.access(line);
@@ -847,16 +865,14 @@ mod tests {
                 // reach (tree-PLRU bits shared with an empty way).
                 for _ in 0..4 * SETS * ways {
                     let line = LineAddr::new(rng.random_range(0..2 * universe));
-                    if rng.random_range(0u8..2) == 0 {
-                        assert_eq!(fused.access(line), split.access(line));
+                    let mask = if rng.random_range(0u8..2) == 0 {
+                        cfg.all_ways()
                     } else {
-                        let mut mask = vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
-                        mask[rng.random_range(0..ways)] = true;
-                        assert_eq!(
-                            fused.access_in_ways(line, &mask),
-                            split.access_in_ways(line, &mask)
-                        );
-                    }
+                        random_mask(rng, cfg)
+                    };
+                    fused.set_fill_mask(mask).unwrap();
+                    split.set_fill_mask(mask).unwrap();
+                    assert_eq!(fused.access(line), split.access(line));
                 }
             },
         );
@@ -917,27 +933,25 @@ mod tests {
 
     /// Every tag writer keeps the per-set valid masks exact, and the packed
     /// tree-PLRU word stays equivalent to the per-node reference tree:
-    /// random mixes of `access`, `access_in_ways`, `invalidate`,
+    /// random mixes of `access` under full and partial fill masks, `invalidate`,
     /// `invalidate_range`, `invalidate_set` and `invalidate_all`, over
     /// every policy and 1 to 64 ways, checked after every op.
     #[test]
     fn valid_masks_and_packed_plru_track_every_tag_writer() {
-        use crate::policy::{Fifo, Nru, RandomEviction, Srrip};
+        use crate::policy::{RandomEviction, Srrip};
         check(
             "valid_masks_and_packed_plru_track_every_tag_writer",
             &PropConfig::from_env(64),
             |rng| {
                 const SETS: usize = 4;
-                let policy = rng.random_range(0u64..6);
+                let policy = rng.random_range(0u64..4);
                 let seed = rng.random_range(0u64..1000);
                 let ways = pick(rng, &[1usize, 2, 4, 8, 16, 64]);
                 let mk = || -> Policy {
                     match policy {
                         0 => TreePlru::new().into(),
                         1 => TrueLru::new().into(),
-                        2 => Fifo::new().into(),
-                        3 => Nru::new().into(),
-                        4 => Srrip::new().into(),
+                        2 => Srrip::new().into(),
                         _ => RandomEviction::with_seed(seed).into(),
                     }
                 };
@@ -957,10 +971,9 @@ mod tests {
                             if op <= 7 {
                                 c.access(line);
                             } else {
-                                let mut mask =
-                                    vec_of(rng, ways..ways + 1, |r| r.random_range(0u8..2) == 1);
-                                mask[rng.random_range(0..ways)] = true;
-                                c.access_in_ways(line, &mask);
+                                c.set_fill_mask(random_mask(rng, cfg)).unwrap();
+                                c.access(line);
+                                c.set_fill_mask(cfg.all_ways()).unwrap();
                             }
                             // A hit and a fill touch the tree alike.
                             let way = c.find_way(set, line).unwrap();
@@ -1016,7 +1029,7 @@ mod tests {
                         assert_eq!(c.valid[s], nonempty, "set {s} mask after op {op}");
                         total += c.set_occupancy(s);
                         if let Some(r) = reference.as_ref() {
-                            assert_eq!(c.policy.victim_all(s, ways), r.victim(s), "set {s}");
+                            assert_eq!(c.policy.victim(s, cfg.all_ways()), r.victim(s), "set {s}");
                         }
                     }
                     assert_eq!(total, c.occupancy());

@@ -3,14 +3,21 @@
 //!
 //! Every cache in the simulated machine — the private L1/L2, the shared
 //! inclusive LLC, and the MEE cache itself — is an instance of
-//! [`SetAssocCache`] with a pluggable [`ReplacementPolicy`].
+//! [`SetAssocCache`] with a [`ReplacementPolicy`] chosen from the
+//! statically dispatched [`policy::Policy`] enum.
 //!
 //! The replacement policy matters for the paper: §5.3 argues the MEE cache
 //! uses an "approximate LRU" policy, which is why the trojan must sweep its
 //! eviction set in a *forward phase followed by a backward phase* to evict
 //! reliably. The [`policy::TreePlru`] implementation models exactly that
-//! class of policy, and [`policy::TrueLru`]/[`policy::RandomEviction`] exist
-//! so the ablation benchmark can show the difference.
+//! class of policy, and [`policy::TrueLru`], [`policy::Srrip`] and
+//! [`policy::RandomEviction`] exist so the ablation experiment can show the
+//! difference.
+//!
+//! A cache fills on a miss only into the ways its fill mask allows
+//! ([`SetAssocCache::set_fill_mask`]; every way by default), and the policy
+//! picks victims among those ways — the way partitioning of the §5.5
+//! mitigation experiment. Lookups ignore the mask.
 //!
 //! # Example
 //!

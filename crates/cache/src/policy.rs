@@ -1,10 +1,11 @@
 //! Replacement policies.
 //!
-//! The policy decides which way to victimize when a set is full. The paper's
-//! §5.3 observes that the MEE cache behaves like an "approximate LRU" cache
-//! and designs the trojan's two-phase (forward + backward) eviction sweep
-//! around that; [`TreePlru`] is the canonical approximate-LRU hardware
-//! policy and the default for the simulated MEE cache.
+//! The policy decides which way to victimize when every way a fill may use
+//! is occupied. The paper's §5.3 observes that the MEE cache behaves like
+//! an "approximate LRU" cache and designs the trojan's two-phase (forward +
+//! backward) eviction sweep around that; [`TreePlru`] is the canonical
+//! approximate-LRU hardware policy and the default for the simulated MEE
+//! cache.
 
 use mee_rng::Rng;
 
@@ -26,29 +27,30 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     /// Records a fill into `way` of `set`.
     fn on_fill(&mut self, set: usize, way: usize);
 
-    /// Chooses the way to evict in a full `set`.
+    /// Chooses the way to evict from `set`.
     ///
-    /// `allowed` marks the ways the caller permits as victims (all-true in
-    /// normal operation; way-partitioned operation restricts it). At least
-    /// one entry is guaranteed true.
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize;
-
-    /// [`victim`](Self::victim) with every way allowed — the common case on
-    /// the hot path, split out so callers build no mask and implementations
-    /// skip the `allowed` scan.
-    ///
-    /// Must behave exactly like `victim(set, &vec![true; ways])`, including
-    /// any RNG draws; the default implementation does literally that.
-    fn victim_all(&mut self, set: usize, ways: usize) -> usize {
-        let allowed = vec![true; ways];
-        self.victim(set, &allowed)
-    }
+    /// Bit `w` of `allowed` permits way `w` as the victim: every way in
+    /// normal operation, fewer under way partitioning (the cache's fill
+    /// mask). The caller guarantees at least one bit is set, none at or
+    /// above the way count, and every allowed way occupied.
+    fn victim(&mut self, set: usize, allowed: u64) -> usize;
 
     /// Records that `way` of `set` was invalidated.
     fn on_invalidate(&mut self, set: usize, way: usize);
 
     /// Short policy name for logs and benches.
     fn name(&self) -> &'static str;
+}
+
+/// The ways set in `mask`, ascending.
+fn ways_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let w = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            w
+        })
+    })
 }
 
 /// Exact least-recently-used: evicts the way with the oldest access stamp.
@@ -85,19 +87,11 @@ impl ReplacementPolicy for TrueLru {
         self.touch(set, way);
     }
 
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
+    fn victim(&mut self, set: usize, allowed: u64) -> usize {
         let base = set * self.ways;
-        (0..self.ways)
-            .filter(|&w| allowed[w])
+        ways_in(allowed)
             .min_by_key(|&w| self.stamps[base + w])
             .expect("victim() requires at least one allowed way")
-    }
-
-    fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("cache sets have at least one way")
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
@@ -197,22 +191,14 @@ impl ReplacementPolicy for TreePlru {
         self.touch(set, way);
     }
 
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
+    fn victim(&mut self, set: usize, allowed: u64) -> usize {
         let lo = self.walk(set);
-        if allowed[lo] {
+        if allowed >> lo & 1 != 0 {
             lo
         } else {
             // Partitioned operation: fall back to the first allowed way.
-            allowed
-                .iter()
-                .position(|&a| a)
-                .expect("victim() requires at least one allowed way")
+            allowed.trailing_zeros() as usize
         }
-    }
-
-    fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
-        // The bit walk's landing way is always allowed here.
-        self.walk(set)
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
@@ -227,123 +213,6 @@ impl ReplacementPolicy for TreePlru {
 
     fn name(&self) -> &'static str {
         "tree-plru"
-    }
-}
-
-/// First-in first-out: evicts the oldest *fill*, ignoring hits.
-#[derive(Debug, Default)]
-pub struct Fifo {
-    stamps: Vec<u64>,
-    ways: usize,
-    clock: u64,
-}
-
-impl Fifo {
-    /// Creates an unattached FIFO policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        self.ways = ways;
-        self.stamps = vec![0; sets * ways];
-    }
-
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
-    }
-
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
-        let base = set * self.ways;
-        (0..self.ways)
-            .filter(|&w| allowed[w])
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("victim() requires at least one allowed way")
-    }
-
-    fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("cache sets have at least one way")
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.stamps[set * self.ways + way] = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-}
-
-/// Not-recently-used: one reference bit per way; evicts the first way whose
-/// bit is clear, clearing all bits when every way is referenced.
-#[derive(Debug, Default)]
-pub struct Nru {
-    referenced: Vec<bool>,
-    ways: usize,
-}
-
-impl Nru {
-    /// Creates an unattached NRU policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReplacementPolicy for Nru {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        self.ways = ways;
-        self.referenced = vec![false; sets * ways];
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.referenced[set * self.ways + way] = true;
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.referenced[set * self.ways + way] = true;
-    }
-
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
-        let base = set * self.ways;
-        if let Some(w) = (0..self.ways).find(|&w| allowed[w] && !self.referenced[base + w]) {
-            return w;
-        }
-        // Everybody referenced: age the whole set and take the first allowed.
-        for w in 0..self.ways {
-            self.referenced[base + w] = false;
-        }
-        allowed
-            .iter()
-            .position(|&a| a)
-            .expect("victim() requires at least one allowed way")
-    }
-
-    fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
-        let base = set * self.ways;
-        if let Some(w) = (0..self.ways).find(|&w| !self.referenced[base + w]) {
-            return w;
-        }
-        // Everybody referenced: age the whole set and take the first way.
-        for w in 0..self.ways {
-            self.referenced[base + w] = false;
-        }
-        0
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.referenced[set * self.ways + way] = false;
-    }
-
-    fn name(&self) -> &'static str {
-        "nru"
     }
 }
 
@@ -383,31 +252,16 @@ impl ReplacementPolicy for Srrip {
         self.rrpv[set * self.ways + way] = RRPV_MAX - 1;
     }
 
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
-        let base = set * self.ways;
+    fn victim(&mut self, set: usize, allowed: u64) -> usize {
+        let rrpv = &mut self.rrpv[set * self.ways..][..self.ways];
         loop {
-            if let Some(w) = (0..self.ways).find(|&w| allowed[w] && self.rrpv[base + w] == RRPV_MAX)
-            {
+            if let Some(w) = ways_in(allowed).find(|&w| rrpv[w] == RRPV_MAX) {
                 return w;
             }
             // Age: increment every RRPV in the set (saturating).
-            for w in 0..self.ways {
-                if self.rrpv[base + w] < RRPV_MAX {
-                    self.rrpv[base + w] += 1;
-                }
-            }
-        }
-    }
-
-    fn victim_all(&mut self, set: usize, _ways: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            if let Some(w) = (0..self.ways).find(|&w| self.rrpv[base + w] == RRPV_MAX) {
-                return w;
-            }
-            for w in 0..self.ways {
-                if self.rrpv[base + w] < RRPV_MAX {
-                    self.rrpv[base + w] += 1;
+            for r in rrpv.iter_mut() {
+                if *r < RRPV_MAX {
+                    *r += 1;
                 }
             }
         }
@@ -426,7 +280,6 @@ impl ReplacementPolicy for Srrip {
 #[derive(Debug)]
 pub struct RandomEviction {
     rng: Rng,
-    ways: usize,
 }
 
 impl RandomEviction {
@@ -434,33 +287,24 @@ impl RandomEviction {
     pub fn with_seed(seed: u64) -> Self {
         RandomEviction {
             rng: Rng::seed_from_u64(seed),
-            ways: 0,
         }
     }
 }
 
 impl ReplacementPolicy for RandomEviction {
-    fn attach(&mut self, _sets: usize, ways: usize) {
-        self.ways = ways;
-    }
+    fn attach(&mut self, _sets: usize, _ways: usize) {}
 
     fn on_hit(&mut self, _set: usize, _way: usize) {}
 
     fn on_fill(&mut self, _set: usize, _way: usize) {}
 
-    fn victim(&mut self, _set: usize, allowed: &[bool]) -> usize {
-        let candidates: Vec<usize> = (0..self.ways).filter(|&w| allowed[w]).collect();
-        assert!(
-            !candidates.is_empty(),
-            "victim() requires at least one allowed way"
-        );
-        candidates[self.rng.random_range(0..candidates.len())]
-    }
-
-    fn victim_all(&mut self, _set: usize, _ways: usize) -> usize {
-        // Same single `random_range(0..ways)` draw as `victim` with an
-        // all-true mask, so the RNG stream is unchanged.
-        self.rng.random_range(0..self.ways)
+    fn victim(&mut self, _set: usize, allowed: u64) -> usize {
+        // One draw over the allowed ways; with every way allowed the draw
+        // is the way itself.
+        let k = self.rng.random_range(0..allowed.count_ones() as usize);
+        ways_in(allowed)
+            .nth(k)
+            .expect("victim() requires at least one allowed way")
     }
 
     fn on_invalidate(&mut self, _set: usize, _way: usize) {}
@@ -486,10 +330,6 @@ pub enum Policy {
     TreePlru(TreePlru),
     /// Exact LRU.
     TrueLru(TrueLru),
-    /// First-in first-out.
-    Fifo(Fifo),
-    /// Not-recently-used.
-    Nru(Nru),
     /// Static re-reference interval prediction.
     Srrip(Srrip),
     /// Seeded random victims.
@@ -501,8 +341,6 @@ macro_rules! dispatch {
         match $self {
             Policy::TreePlru($p) => $body,
             Policy::TrueLru($p) => $body,
-            Policy::Fifo($p) => $body,
-            Policy::Nru($p) => $body,
             Policy::Srrip($p) => $body,
             Policy::Random($p) => $body,
         }
@@ -525,13 +363,8 @@ impl ReplacementPolicy for Policy {
     }
 
     #[inline]
-    fn victim(&mut self, set: usize, allowed: &[bool]) -> usize {
+    fn victim(&mut self, set: usize, allowed: u64) -> usize {
         dispatch!(self, p => p.victim(set, allowed))
-    }
-
-    #[inline]
-    fn victim_all(&mut self, set: usize, ways: usize) -> usize {
-        dispatch!(self, p => p.victim_all(set, ways))
     }
 
     #[inline]
@@ -556,18 +389,6 @@ impl From<TrueLru> for Policy {
     }
 }
 
-impl From<Fifo> for Policy {
-    fn from(p: Fifo) -> Self {
-        Policy::Fifo(p)
-    }
-}
-
-impl From<Nru> for Policy {
-    fn from(p: Nru) -> Self {
-        Policy::Nru(p)
-    }
-}
-
 impl From<Srrip> for Policy {
     fn from(p: Srrip) -> Self {
         Policy::Srrip(p)
@@ -584,67 +405,8 @@ impl From<RandomEviction> for Policy {
 mod tests {
     use super::*;
 
-    fn all_allowed(ways: usize) -> Vec<bool> {
-        vec![true; ways]
-    }
-
-    /// `victim_all` must be indistinguishable from `victim` with an
-    /// all-true mask — same way chosen, same internal state evolution,
-    /// same RNG draws — for every policy, under arbitrary histories.
-    /// Two identically-seeded twins run mirrored hit/fill/invalidate
-    /// histories; one answers through `victim`, the other through
-    /// `victim_all`, and the pair must never diverge.
-    #[test]
-    fn victim_all_matches_all_true_mask() {
-        const WAYS: usize = 8;
-        const SETS: usize = 4;
-        let twins: Vec<(Policy, Policy)> = vec![
-            (TreePlru::new().into(), TreePlru::new().into()),
-            (TrueLru::new().into(), TrueLru::new().into()),
-            (Fifo::new().into(), Fifo::new().into()),
-            (Nru::new().into(), Nru::new().into()),
-            (Srrip::new().into(), Srrip::new().into()),
-            (
-                RandomEviction::with_seed(0xdead).into(),
-                RandomEviction::with_seed(0xdead).into(),
-            ),
-        ];
-        for (mut a, mut b) in twins {
-            a.attach(SETS, WAYS);
-            b.attach(SETS, WAYS);
-            let mut rng = Rng::seed_from_u64(0x51c7);
-            for step in 0..2000 {
-                let set = rng.random_range(0..SETS);
-                let way = rng.random_range(0..WAYS);
-                match rng.random_range(0..4u8) {
-                    0 => {
-                        a.on_hit(set, way);
-                        b.on_hit(set, way);
-                    }
-                    1 => {
-                        a.on_fill(set, way);
-                        b.on_fill(set, way);
-                    }
-                    2 => {
-                        a.on_invalidate(set, way);
-                        b.on_invalidate(set, way);
-                    }
-                    _ => {
-                        let va = a.victim(set, &all_allowed(WAYS));
-                        let vb = b.victim_all(set, WAYS);
-                        assert_eq!(
-                            va,
-                            vb,
-                            "policy {} diverged at step {step} (set {set})",
-                            a.name()
-                        );
-                        // Keep the histories aligned after the eviction.
-                        a.on_fill(set, va);
-                        b.on_fill(set, vb);
-                    }
-                }
-            }
-        }
+    fn all_allowed(ways: usize) -> u64 {
+        (1 << ways) - 1
     }
 
     #[test]
@@ -655,7 +417,7 @@ mod tests {
             p.on_fill(0, w);
         }
         p.on_hit(0, 0); // refresh way 0; way 1 is now oldest
-        assert_eq!(p.victim(0, &all_allowed(4)), 1);
+        assert_eq!(p.victim(0, all_allowed(4)), 1);
     }
 
     #[test]
@@ -665,9 +427,8 @@ mod tests {
         for w in 0..4 {
             p.on_fill(0, w);
         }
-        let mut allowed = all_allowed(4);
-        allowed[0] = false; // oldest way is off-limits
-        assert_eq!(p.victim(0, &allowed), 1);
+        let allowed = all_allowed(4) & !1; // oldest way is off-limits
+        assert_eq!(p.victim(0, allowed), 1);
     }
 
     #[test]
@@ -680,7 +441,7 @@ mod tests {
         for recent in 0..8 {
             p.on_hit(0, recent);
             assert_ne!(
-                p.victim(0, &all_allowed(8)),
+                p.victim(0, all_allowed(8)),
                 recent,
                 "PLRU evicted the most recently used way"
             );
@@ -707,8 +468,8 @@ mod tests {
         }
         let mut diverged = false;
         for _ in 0..8 {
-            let pv = plru.victim(0, &all_allowed(8));
-            let lv = lru.victim(0, &all_allowed(8));
+            let pv = plru.victim(0, all_allowed(8));
+            let lv = lru.victim(0, all_allowed(8));
             if pv != lv {
                 diverged = true;
             }
@@ -729,7 +490,7 @@ mod tests {
         p.on_fill(0, 0);
         p.on_fill(0, 1);
         p.on_invalidate(0, 1);
-        assert_eq!(p.victim(0, &all_allowed(2)), 1);
+        assert_eq!(p.victim(0, all_allowed(2)), 1);
     }
 
     /// After filling every way, a single invalidation makes that way the
@@ -738,11 +499,9 @@ mod tests {
     fn invalidated_way_is_preferred_victim() {
         for ways in [2usize, 4, 8] {
             for way in 0..ways {
-                let policies: [Policy; 5] = [
+                let policies: [Policy; 3] = [
                     TrueLru::new().into(),
                     TreePlru::new().into(),
-                    Fifo::new().into(),
-                    Nru::new().into(),
                     Srrip::new().into(),
                 ];
                 for mut p in policies {
@@ -752,7 +511,7 @@ mod tests {
                     }
                     p.on_invalidate(0, way);
                     assert_eq!(
-                        p.victim(0, &all_allowed(ways)),
+                        p.victim(0, all_allowed(ways)),
                         way,
                         "{} did not prefer invalidated way {way} of {ways}",
                         p.name()
@@ -770,31 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits() {
-        let mut p = Fifo::new();
-        p.attach(1, 2);
-        p.on_fill(0, 0);
-        p.on_fill(0, 1);
-        p.on_hit(0, 0); // does not refresh way 0
-        assert_eq!(p.victim(0, &all_allowed(2)), 0);
-    }
-
-    #[test]
-    fn nru_prefers_unreferenced() {
-        let mut p = Nru::new();
-        p.attach(1, 4);
-        p.on_fill(0, 0);
-        p.on_fill(0, 1);
-        p.on_fill(0, 2);
-        p.on_fill(0, 3);
-        // All referenced: victim clears and picks way 0.
-        assert_eq!(p.victim(0, &all_allowed(4)), 0);
-        // Now nothing is referenced except what we touch.
-        p.on_hit(0, 0);
-        assert_eq!(p.victim(0, &all_allowed(4)), 1);
-    }
-
-    #[test]
     fn random_is_deterministic_per_seed() {
         let mut a = RandomEviction::with_seed(7);
         let mut b = RandomEviction::with_seed(7);
@@ -802,7 +536,7 @@ mod tests {
         b.attach(1, 8);
         let allowed = all_allowed(8);
         for _ in 0..32 {
-            assert_eq!(a.victim(0, &allowed), b.victim(0, &allowed));
+            assert_eq!(a.victim(0, allowed), b.victim(0, allowed));
         }
     }
 
@@ -810,10 +544,28 @@ mod tests {
     fn random_respects_allowed_mask() {
         let mut p = RandomEviction::with_seed(3);
         p.attach(1, 8);
-        let mut allowed = vec![false; 8];
-        allowed[5] = true;
         for _ in 0..16 {
-            assert_eq!(p.victim(0, &allowed), 5);
+            assert_eq!(p.victim(0, 1 << 5), 5);
+        }
+    }
+
+    /// A random victim is one `random_range(0..allowed ways)` draw taken
+    /// as an index into the allowed ways, ascending — under every mask, so
+    /// an unmasked victim is the drawn way itself.
+    #[test]
+    fn random_victim_is_one_draw_over_the_allowed_ways() {
+        let mut p = RandomEviction::with_seed(0xdead);
+        p.attach(4, 8);
+        let mut twin = Rng::seed_from_u64(0xdead);
+        let mut masks = Rng::seed_from_u64(0x51c7);
+        for step in 0..2000 {
+            let allowed = match step % 2 {
+                0 => all_allowed(8),
+                _ => masks.random_range(1..=all_allowed(8)),
+            };
+            let ways: Vec<usize> = (0..8).filter(|&w| allowed >> w & 1 != 0).collect();
+            let expected = ways[twin.random_range(0..ways.len())];
+            assert_eq!(p.victim(step % 4, allowed), expected, "step {step}");
         }
     }
 
@@ -825,11 +577,11 @@ mod tests {
             p.on_fill(0, w);
         }
         // All at RRPV 2; a victim search ages everyone to 3 and picks way 0.
-        assert_eq!(p.victim(0, &all_allowed(4)), 0);
+        assert_eq!(p.victim(0, all_allowed(4)), 0);
         // A hit promotes to RRPV 0: that way outlives un-hit ways.
         p.on_fill(0, 0);
         p.on_hit(0, 1);
-        let v = p.victim(0, &all_allowed(4));
+        let v = p.victim(0, all_allowed(4));
         assert_ne!(v, 1, "SRRIP evicted the just-hit way");
     }
 
@@ -842,7 +594,7 @@ mod tests {
         }
         for recent in 0..8 {
             p.on_hit(0, recent);
-            assert_ne!(p.victim(0, &all_allowed(8)), recent);
+            assert_ne!(p.victim(0, all_allowed(8)), recent);
         }
     }
 
@@ -853,17 +605,13 @@ mod tests {
         for w in 0..4 {
             p.on_fill(0, w);
         }
-        let mut allowed = all_allowed(4);
-        allowed[0] = false;
-        assert_ne!(p.victim(0, &allowed), 0);
+        assert_ne!(p.victim(0, all_allowed(4) & !1), 0);
     }
 
     #[test]
     fn policy_names() {
         assert_eq!(TrueLru::new().name(), "lru");
         assert_eq!(TreePlru::new().name(), "tree-plru");
-        assert_eq!(Fifo::new().name(), "fifo");
-        assert_eq!(Nru::new().name(), "nru");
         assert_eq!(Srrip::new().name(), "srrip");
         assert_eq!(RandomEviction::with_seed(0).name(), "random");
     }

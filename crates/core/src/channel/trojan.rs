@@ -123,7 +123,7 @@ mod tests {
     use super::*;
     use crate::channel::windowed::{Schedule, WindowedActor};
     use crate::setup::AttackSetup;
-    use mee_machine::{run_actors, Actor, ActorBinding, StepOutcome};
+    use mee_machine::{run_actor_refs_hooked, Actor, ActorRef, NoopHook, StepOutcome};
 
     fn schedule(start: u64, window: u64) -> Schedule {
         Schedule {
@@ -136,18 +136,21 @@ mod tests {
     fn zero_bits_cost_nothing_but_time() {
         let mut setup = AttackSetup::quiet(51).unwrap();
         let addrs = setup.trojan.candidates(8, 0);
-        let trojan = WindowedActor::new(
+        let mut trojan = WindowedActor::new(
             schedule(1_000, 15_000),
             3,
             EvictionSweep::new(addrs, vec![false; 3], EvictionStrategy::TwoPhase, true),
         );
         let reads_before = setup.machine.mee().stats().reads;
-        let mut bindings = vec![ActorBinding {
-            core: setup.trojan.core,
-            proc: setup.trojan.proc,
-            actor: Box::new(trojan),
-        }];
-        run_actors(&mut setup.machine, &mut bindings, Cycles::new(1_000_000)).unwrap();
+        let mut actors: Vec<ActorRef<'_>> =
+            vec![(setup.trojan.core, setup.trojan.proc, &mut trojan)];
+        run_actor_refs_hooked(
+            &mut setup.machine,
+            &mut actors,
+            Cycles::new(1_000_000),
+            &mut NoopHook,
+        )
+        .unwrap();
         assert_eq!(setup.machine.mee().stats().reads, reads_before);
         assert!(setup.machine.core_now(setup.trojan.core) >= Cycles::new(1_000 + 45_000));
     }

@@ -39,7 +39,8 @@ pub struct MitigationResult {
 ///
 /// # Errors
 ///
-/// Propagates machine errors (establishment failures are recorded, not
+/// Propagates machine errors, including a budget of zero ways or more
+/// ways than the MEE cache has (establishment failures are recorded, not
 /// raised).
 pub fn run_mitigation(
     seed: u64,
@@ -49,9 +50,12 @@ pub fn run_mitigation(
     let mut points = Vec::new();
     for (i, &ways) in way_budgets.iter().enumerate() {
         let mut setup = AttackSetup::new(seed.wrapping_add(i as u64))?;
-        let total_ways = setup.machine.mee().cache().config().ways;
-        let mask: Vec<bool> = (0..total_ways).map(|w| w < ways).collect();
-        setup.machine.mee_mut().set_fill_mask(mask);
+        let mask = if ways >= 64 {
+            u64::MAX
+        } else {
+            (1 << ways) - 1
+        };
+        setup.machine.mee_mut().set_fill_mask(mask)?;
 
         let cfg = ChannelConfig::default();
         match Session::establish(&mut setup, &cfg) {
@@ -124,5 +128,18 @@ mod tests {
             assert!(rate < ceiling, "error {rate} at {} ways", p.fill_ways);
         }
         assert!(r.to_string().contains("Mitigation"));
+    }
+
+    #[test]
+    fn impossible_way_budgets_are_typed_errors() {
+        for ways in [0, 9] {
+            assert!(
+                matches!(
+                    run_mitigation(109, 8, &[ways]),
+                    Err(ModelError::InvalidConfig { .. })
+                ),
+                "{ways} fill ways accepted"
+            );
+        }
     }
 }

@@ -141,7 +141,7 @@ impl Actor for MemStressActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mee_machine::{run_actor_refs, CoreId};
+    use mee_machine::{run_actor_refs_hooked, CoreId, NoopHook};
     use mee_types::Cycles;
 
     #[test]
@@ -150,7 +150,13 @@ mod tests {
         let (proc, mut actor) = MeeNoiseActor::install_on(&mut setup, 512, 64).unwrap();
         let before = setup.machine.mee().stats().reads;
         let mut actors: Vec<mee_machine::ActorRef<'_>> = vec![(CoreId::new(2), proc, &mut actor)];
-        run_actor_refs(&mut setup.machine, &mut actors, Cycles::new(200_000)).unwrap();
+        run_actor_refs_hooked(
+            &mut setup.machine,
+            &mut actors,
+            Cycles::new(200_000),
+            &mut NoopHook,
+        )
+        .unwrap();
         let after = setup.machine.mee().stats().reads;
         assert!(after > before + 100, "only {} MEE reads", after - before);
     }
@@ -161,7 +167,13 @@ mod tests {
         let (proc, mut actor) = MemStressActor::install_on(&mut setup, 128).unwrap();
         let before = setup.machine.mee().stats().reads;
         let mut actors: Vec<mee_machine::ActorRef<'_>> = vec![(CoreId::new(2), proc, &mut actor)];
-        run_actor_refs(&mut setup.machine, &mut actors, Cycles::new(200_000)).unwrap();
+        run_actor_refs_hooked(
+            &mut setup.machine,
+            &mut actors,
+            Cycles::new(200_000),
+            &mut NoopHook,
+        )
+        .unwrap();
         assert_eq!(setup.machine.mee().stats().reads, before);
         // But it does hammer the LLC.
         assert!(setup.machine.llc().stats().misses > 100);

@@ -204,12 +204,6 @@ pub struct Mee {
     cache: SetAssocCache,
     timing: TimingConfig,
     stats: MeeStats,
-    /// Way mask applied to MEE-cache fills (all-true normally; the §5.5
-    /// mitigation experiment partitions it per security domain).
-    fill_mask: Vec<bool>,
-    /// Whether `fill_mask` is all-true — the common case, which takes the
-    /// cache's mask-free fast path.
-    fill_unrestricted: bool,
     /// Global time until which the engine's pipeline is occupied; a walk
     /// arriving earlier queues (shared-resource contention across cores).
     busy_until: Cycles,
@@ -234,14 +228,11 @@ impl Mee {
         policy: impl Into<Policy>,
         timing: TimingConfig,
     ) -> Self {
-        let ways = cache_cfg.ways;
         Mee {
             tree: IntegrityTree::new(geo, key),
             cache: SetAssocCache::new(cache_cfg, policy),
             timing,
             stats: MeeStats::default(),
-            fill_mask: vec![true; ways],
-            fill_unrestricted: true,
             busy_until: Cycles::ZERO,
         }
     }
@@ -271,28 +262,16 @@ impl Mee {
         self.busy_until
     }
 
-    /// Restricts future MEE-cache fills to the ways marked `true` — the
-    /// way-partitioning mitigation of §5.5.
+    /// Restricts future MEE-cache fills to the ways set in `mask` — the
+    /// way-partitioning mitigation of §5.5. See
+    /// [`SetAssocCache::set_fill_mask`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the mask length differs from the way count or allows no
-    /// ways.
-    pub fn set_fill_mask(&mut self, mask: Vec<bool>) {
-        assert_eq!(mask.len(), self.cache.config().ways, "mask length mismatch");
-        assert!(mask.iter().any(|&b| b), "mask allows no ways");
-        self.fill_unrestricted = mask.iter().all(|&b| b);
-        self.fill_mask = mask;
-    }
-
-    /// One MEE-cache access under the current fill mask, skipping the mask
-    /// machinery entirely in the unpartitioned (default) case.
-    fn cache_access(&mut self, line: LineAddr) -> mee_cache::AccessResult {
-        if self.fill_unrestricted {
-            self.cache.access(line)
-        } else {
-            self.cache.access_in_ways(line, &self.fill_mask)
-        }
+    /// Returns [`ModelError::InvalidConfig`] if `mask` allows no way or
+    /// names a way the MEE cache lacks.
+    pub fn set_fill_mask(&mut self, mask: u64) -> Result<(), ModelError> {
+        self.cache.set_fill_mask(mask)
     }
 
     /// Drops every line of the MEE cache — a whole-cache flush event (e.g.
@@ -454,7 +433,7 @@ impl Mee {
         // the data fetch. It still occupies (even) cache sets and DRAM
         // bandwidth when it misses.
         let tag_line = geo.pd_tag_line(path.version);
-        let tag_result = self.cache_access(tag_line);
+        let tag_result = self.cache.access(tag_line);
         if tracing {
             tracer.record(
                 now,
@@ -478,7 +457,7 @@ impl Mee {
 
         // Versions level: always checked first (paper challenge 2).
         let vline = geo.version_line(path.version);
-        let v = self.cache_access(vline);
+        let v = self.cache.access(vline);
         if tracing {
             tracer.record(
                 now,
@@ -514,7 +493,7 @@ impl Mee {
             (TreeLevel::L2, HitLevel::L2, WalkLevel::L2),
         ] {
             let node_line = geo.level_line(level, path.node_at(level));
-            let r = self.cache_access(node_line);
+            let r = self.cache.access(node_line);
             if tracing {
                 tracer.record(
                     now,
@@ -814,7 +793,7 @@ mod tests {
             TrueLru::new(),
             TimingConfig::noiseless(),
         );
-        mee.set_fill_mask((0..8).map(|w| w < 2).collect());
+        mee.set_fill_mask(0b11).unwrap();
         let base = layout.prm_data().base().line();
         mee.read(base, clk.tick(), &mut dram).unwrap();
         // Each touched set holds at most 2 lines ever.
@@ -827,11 +806,23 @@ mod tests {
         }
     }
 
+    /// An empty mask or one naming a ninth way of the 8-way MEE cache is a
+    /// typed error, and the walk keeps filling every way.
     #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn bad_mask_length_panics() {
-        let (mut mee, _, _) = setup();
-        mee.set_fill_mask(vec![true; 3]);
+    fn bad_fill_masks_are_typed_errors() {
+        let mut clk = Clock::new();
+        let (mut mee, mut dram, base) = setup();
+        for bad in [0, 1 << 8, 0x1ff] {
+            assert!(
+                matches!(
+                    mee.set_fill_mask(bad),
+                    Err(ModelError::InvalidConfig { .. })
+                ),
+                "mask {bad:#x} accepted"
+            );
+        }
+        let r = mee.read(base, clk.tick(), &mut dram).unwrap();
+        assert_eq!(r.access.filled.len(), 5);
     }
 
     #[test]

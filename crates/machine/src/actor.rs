@@ -35,25 +35,6 @@ pub trait Actor {
     fn step(&mut self, cpu: &mut CoreHandle<'_>) -> Result<StepOutcome, ModelError>;
 }
 
-/// An actor bound to a core and a process.
-pub struct ActorBinding {
-    /// The core the actor runs on (one actor per core).
-    pub core: CoreId,
-    /// The process providing the actor's address space.
-    pub proc: ProcId,
-    /// The actor itself.
-    pub actor: Box<dyn Actor>,
-}
-
-impl std::fmt::Debug for ActorBinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActorBinding")
-            .field("core", &self.core)
-            .field("proc", &self.proc)
-            .finish_non_exhaustive()
-    }
-}
-
 /// An actor's view of its core: every instruction primitive, bound to the
 /// actor's core and process.
 pub struct CoreHandle<'m> {
@@ -190,29 +171,8 @@ impl<'m> CoreHandle<'m> {
     }
 }
 
-/// Runs `bindings` concurrently until every actor is done or every runnable
-/// actor's core clock has reached `horizon`.
-///
-/// # Errors
-///
-/// * Propagates the first [`ModelError`] raised by any actor.
-/// * Returns [`ModelError::NoSuchCore`] / [`ModelError::InvalidConfig`] for
-///   invalid bindings (out-of-range core, two actors on one core) or for an
-///   actor that stops advancing its clock (deadlock guard).
-pub fn run_actors(
-    machine: &mut Machine,
-    bindings: &mut [ActorBinding],
-    horizon: Cycles,
-) -> Result<(), ModelError> {
-    let mut refs: Vec<ActorRef<'_>> = bindings
-        .iter_mut()
-        .map(|b| (b.core, b.proc, b.actor.as_mut()))
-        .collect();
-    run_actor_refs(machine, &mut refs, horizon)
-}
-
 /// A borrowed actor with its core/process binding, as consumed by
-/// [`run_actor_refs`].
+/// [`run_actor_refs_hooked`].
 pub type ActorRef<'a> = (CoreId, ProcId, &'a mut (dyn Actor + 'static));
 
 /// A scheduler hook invoked before actor steps, with the global simulation
@@ -256,7 +216,8 @@ pub enum HookSchedule {
     Idle,
 }
 
-/// The do-nothing hook [`run_actor_refs`] runs with.
+/// The do-nothing hook: pass it to [`run_actor_refs_hooked`] to run
+/// actors without fault injection.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopHook;
 
@@ -270,26 +231,16 @@ impl StepHook for NoopHook {
     }
 }
 
-/// Like [`run_actors`] but borrowing the actors, so callers keep ownership
-/// of concrete actor types and can inspect their results after the run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_actors`].
-pub fn run_actor_refs(
-    machine: &mut Machine,
-    actors: &mut [ActorRef<'_>],
-    horizon: Cycles,
-) -> Result<(), ModelError> {
-    run_actor_refs_hooked(machine, actors, horizon, &mut NoopHook)
-}
-
 /// An actor that stops advancing its clock for this many consecutive steps
 /// is declared deadlocked.
 const STUCK_LIMIT: u32 = 100_000;
 
-/// Like [`run_actor_refs`] with a [`StepHook`] consulted before steps —
-/// the entry point for deterministic fault injection.
+/// Runs `actors` concurrently until every actor is done or every runnable
+/// actor's core clock has reached `horizon`, consulting `hook` before
+/// steps — the machine's one scheduler, and the entry point for
+/// deterministic fault injection ([`NoopHook`] runs without one). The
+/// actors are borrowed, so callers keep their concrete types and can
+/// inspect results after the run.
 ///
 /// Each step runs the runnable actor with the smallest core clock below
 /// `horizon`; the first binding slot wins ties. The hook is called first
@@ -308,7 +259,11 @@ const STUCK_LIMIT: u32 = 100_000;
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_actors`], plus any error raised by the hook.
+/// * Propagates the first [`ModelError`] raised by any actor or by the
+///   hook.
+/// * Returns [`ModelError::NoSuchCore`] / [`ModelError::InvalidConfig`] for
+///   invalid bindings (out-of-range core, two actors on one core) or for an
+///   actor that stops advancing its clock (deadlock guard).
 pub fn run_actor_refs_hooked(
     machine: &mut Machine,
     actors: &mut [ActorRef<'_>],
@@ -493,28 +448,23 @@ mod tests {
     #[test]
     fn single_actor_runs_to_completion() {
         let (mut m, p, base) = setup();
-        let mut bindings = vec![ActorBinding {
-            core: CoreId::new(0),
-            proc: p,
-            actor: Box::new(Reader {
-                base,
-                remaining: 5,
-                latencies: Vec::new(),
-            }),
-        }];
-        run_actors(&mut m, &mut bindings, Cycles::new(1_000_000)).unwrap();
+        let mut reader = Reader {
+            base,
+            remaining: 5,
+            latencies: Vec::new(),
+        };
+        let mut actors: Vec<ActorRef<'_>> = vec![(CoreId::new(0), p, &mut reader)];
+        run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1_000_000), &mut NoopHook).unwrap();
         assert!(m.core_now(CoreId::new(0)) > Cycles::ZERO);
+        assert_eq!(reader.latencies.len(), 5);
     }
 
     #[test]
     fn horizon_stops_infinite_actors() {
         let (mut m, p, _) = setup();
-        let mut bindings = vec![ActorBinding {
-            core: CoreId::new(0),
-            proc: p,
-            actor: Box::new(Spinner),
-        }];
-        run_actors(&mut m, &mut bindings, Cycles::new(10_000)).unwrap();
+        let mut spinner = Spinner;
+        let mut actors: Vec<ActorRef<'_>> = vec![(CoreId::new(0), p, &mut spinner)];
+        run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(10_000), &mut NoopHook).unwrap();
         let now = m.core_now(CoreId::new(0));
         assert!(now >= Cycles::new(10_000));
         assert!(now < Cycles::new(10_200));
@@ -526,27 +476,17 @@ mod tests {
         // Two readers on different cores sharing a page: the second one to
         // reach DRAM must hit the LLC instead, whichever interleaving — but
         // both clocks must end near each other (fair interleaving).
-        let mut bindings = vec![
-            ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Reader {
-                    base,
-                    remaining: 50,
-                    latencies: Vec::new(),
-                }),
-            },
-            ActorBinding {
-                core: CoreId::new(1),
-                proc: p,
-                actor: Box::new(Reader {
-                    base: base + PAGE_SIZE as u64,
-                    remaining: 50,
-                    latencies: Vec::new(),
-                }),
-            },
+        let reader = |base| Reader {
+            base,
+            remaining: 50,
+            latencies: Vec::new(),
+        };
+        let (mut first, mut second) = (reader(base), reader(base + PAGE_SIZE as u64));
+        let mut actors: Vec<ActorRef<'_>> = vec![
+            (CoreId::new(0), p, &mut first),
+            (CoreId::new(1), p, &mut second),
         ];
-        run_actors(&mut m, &mut bindings, Cycles::new(10_000_000)).unwrap();
+        run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(10_000_000), &mut NoopHook).unwrap();
         let a = m.core_now(CoreId::new(0)).raw() as i64;
         let b = m.core_now(CoreId::new(1)).raw() as i64;
         assert!((a - b).abs() < 2_000, "clocks diverged: {a} vs {b}");
@@ -555,31 +495,21 @@ mod tests {
     #[test]
     fn two_actors_one_core_rejected() {
         let (mut m, p, _) = setup();
-        let mut bindings = vec![
-            ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Spinner),
-            },
-            ActorBinding {
-                core: CoreId::new(0),
-                proc: p,
-                actor: Box::new(Spinner),
-            },
-        ];
-        assert!(run_actors(&mut m, &mut bindings, Cycles::new(1000)).is_err());
+        let (mut a, mut b) = (Spinner, Spinner);
+        let mut actors: Vec<ActorRef<'_>> =
+            vec![(CoreId::new(0), p, &mut a), (CoreId::new(0), p, &mut b)];
+        assert!(
+            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1000), &mut NoopHook).is_err()
+        );
     }
 
     #[test]
     fn out_of_range_core_rejected() {
         let (mut m, p, _) = setup();
-        let mut bindings = vec![ActorBinding {
-            core: CoreId::new(99),
-            proc: p,
-            actor: Box::new(Spinner),
-        }];
+        let mut spinner = Spinner;
+        let mut actors: Vec<ActorRef<'_>> = vec![(CoreId::new(99), p, &mut spinner)];
         assert!(matches!(
-            run_actors(&mut m, &mut bindings, Cycles::new(1000)),
+            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1000), &mut NoopHook),
             Err(ModelError::NoSuchCore { core: 99 })
         ));
     }
@@ -587,12 +517,11 @@ mod tests {
     #[test]
     fn stuck_actor_detected() {
         let (mut m, p, _) = setup();
-        let mut bindings = vec![ActorBinding {
-            core: CoreId::new(0),
-            proc: p,
-            actor: Box::new(Stuck),
-        }];
-        assert!(run_actors(&mut m, &mut bindings, Cycles::new(1000)).is_err());
+        let mut stuck = Stuck;
+        let mut actors: Vec<ActorRef<'_>> = vec![(CoreId::new(0), p, &mut stuck)];
+        assert!(
+            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1000), &mut NoopHook).is_err()
+        );
     }
 
     #[test]
@@ -970,13 +899,10 @@ mod tests {
             }
         }
         let (mut m, p, _) = setup();
-        let mut bindings = vec![ActorBinding {
-            core: CoreId::new(0),
-            proc: p,
-            actor: Box::new(Faulter),
-        }];
+        let mut faulter = Faulter;
+        let mut actors: Vec<ActorRef<'_>> = vec![(CoreId::new(0), p, &mut faulter)];
         assert!(matches!(
-            run_actors(&mut m, &mut bindings, Cycles::new(1000)),
+            run_actor_refs_hooked(&mut m, &mut actors, Cycles::new(1000), &mut NoopHook),
             Err(ModelError::PageFault { .. })
         ));
     }

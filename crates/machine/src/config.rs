@@ -1,22 +1,18 @@
 //! Machine configuration.
 
-use mee_cache::policy::{Fifo, Nru, Policy, RandomEviction, Srrip, TreePlru, TrueLru};
+use mee_cache::policy::{Policy, RandomEviction, Srrip, TreePlru, TrueLru};
 use mee_cache::CacheConfig;
 use mee_mem::DramConfig;
 use mee_types::{ModelError, TimingConfig};
 
-/// A cloneable description of a replacement policy, resolved to a boxed
-/// [`Policy`] at machine construction.
+/// A cloneable description of a replacement policy, resolved to the
+/// statically dispatched [`Policy`] enum at machine construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Tree pseudo-LRU — the MEE cache default (§5.3 "approximate LRU").
     TreePlru,
     /// Exact LRU.
     TrueLru,
-    /// First-in first-out.
-    Fifo,
-    /// Not-recently-used.
-    Nru,
     /// Static re-reference interval prediction (2-bit).
     Srrip,
     /// Seeded random eviction.
@@ -32,8 +28,6 @@ impl PolicyKind {
         match self {
             PolicyKind::TreePlru => Policy::TreePlru(TreePlru::new()),
             PolicyKind::TrueLru => Policy::TrueLru(TrueLru::new()),
-            PolicyKind::Fifo => Policy::Fifo(Fifo::new()),
-            PolicyKind::Nru => Policy::Nru(Nru::new()),
             PolicyKind::Srrip => Policy::Srrip(Srrip::new()),
             PolicyKind::Random { seed } => Policy::Random(RandomEviction::with_seed(seed)),
         }
@@ -330,8 +324,6 @@ mod tests {
         for kind in [
             PolicyKind::TreePlru,
             PolicyKind::TrueLru,
-            PolicyKind::Fifo,
-            PolicyKind::Nru,
             PolicyKind::Srrip,
             PolicyKind::Random { seed: 1 },
         ] {

@@ -16,11 +16,13 @@
 //!   challenge 1), `mfence`, `rdtsc` (faults in enclave mode — challenge 4),
 //!   the hyperthread timer-mailbox read of Figure 2(c), and an OCALL-based
 //!   timestamp for comparison;
-//! * the [`Actor`] abstraction plus [`run_actors`] — a deterministic
-//!   scheduler that interleaves one actor per core in global clock order
-//!   (each step goes to the actor whose core clock is furthest behind, the
-//!   first binding slot on ties), which is how the trojan, the spy, and the
-//!   noise programs execute "concurrently".
+//! * the [`Actor`] abstraction plus [`run_actor_refs_hooked`] — the one
+//!   deterministic scheduler, which interleaves one actor per core in
+//!   global clock order (each step goes to the actor whose core clock is
+//!   furthest behind, the first binding slot on ties) and consults a
+//!   [`StepHook`] (the fault injector, or [`NoopHook`]) before steps; it is
+//!   how the trojan, the spy, and the noise programs execute
+//!   "concurrently".
 //!
 //! # Example
 //!
@@ -51,8 +53,8 @@ mod config;
 mod machine;
 
 pub use actor::{
-    run_actor_refs, run_actor_refs_hooked, run_actors, Actor, ActorBinding, ActorRef, CoreHandle,
-    HookSchedule, NoopHook, StepHook, StepOutcome,
+    run_actor_refs_hooked, Actor, ActorRef, CoreHandle, HookSchedule, NoopHook, StepHook,
+    StepOutcome,
 };
 pub use config::{MachineConfig, PolicyKind};
 pub use machine::{CoreId, Machine, ProcId};

@@ -1590,11 +1590,9 @@ mod tests {
         use mee_tree::TreeLevel;
         use std::cell::Cell;
 
-        const POLICIES: [PolicyKind; 6] = [
+        const POLICIES: [PolicyKind; 4] = [
             PolicyKind::TreePlru,
             PolicyKind::TrueLru,
-            PolicyKind::Fifo,
-            PolicyKind::Nru,
             PolicyKind::Srrip,
             PolicyKind::Random { seed: 7 },
         ];

@@ -33,6 +33,8 @@ pub mod metrics;
 pub mod profile;
 pub mod tracer;
 
+use mee_rng::env_knob::{self, EnvKnobError};
+
 pub use campaign::{CampaignLog, ShardEvent};
 pub use event::{Event, EventKind, MemOpKind, ServedAt, WalkLevel};
 pub use export::{chrome_trace, event_jsonl, ChromeTraceOptions};
@@ -41,21 +43,25 @@ pub use profile::{HostProfile, SpanStats};
 pub use tracer::{EventSink, NullTracer, RingRecorder, Tracer};
 
 /// The environment knob selecting the trace ring capacity (`0` disables
-/// tracing; parsed strictly, a malformed value panics).
+/// tracing; parsed strictly, a malformed value is an error).
 pub const TRACE_ENV: &str = "MEE_TRACE";
 
 /// Default ring capacity when tracing is enabled without an explicit
 /// capacity: 2²⁰ events (~48 MiB retained worst case).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 
-/// Reads [`TRACE_ENV`]: `None` when unset, `Some(0)` to force tracing
-/// off, `Some(n)` for an `n`-event ring.
+/// Reads [`TRACE_ENV`]: `Ok(None)` when unset, `Ok(Some(0))` to force
+/// tracing off, `Ok(Some(n))` for an `n`-event ring.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the variable is set but not an unsigned integer.
-pub fn env_capacity() -> Option<usize> {
-    mee_rng::env_knob::unsigned_from_env::<usize>(TRACE_ENV)
+/// Returns the strict-knob [`EnvKnobError`] when the variable is set but
+/// not an unsigned integer.
+pub fn env_capacity() -> Result<Option<usize>, EnvKnobError> {
+    std::env::var(TRACE_ENV)
+        .ok()
+        .map(|v| env_knob::parse_unsigned(TRACE_ENV, &v))
+        .transpose()
 }
 
 /// The observability state a simulator owns: an event sink, an optional
@@ -147,6 +153,6 @@ mod tests {
 
     #[test]
     fn env_capacity_is_unset_by_default() {
-        assert_eq!(env_capacity(), None);
+        assert_eq!(env_capacity(), Ok(None));
     }
 }

@@ -13,7 +13,7 @@
 //!   way-partitioning mitigation depends on this).
 //! * `invalidated-way-preferred` — after a fill/hit history touching every
 //!   way, invalidating a way must make it the next full-mask victim (the bug
-//!   class fixed in this PR: stale PLRU bits surviving `on_invalidate`).
+//!   class it caught: stale PLRU bits surviving `on_invalidate`).
 
 use mee_cache::policy::{Policy, TreePlru, TrueLru};
 use mee_cache::{CacheConfig, ReplacementPolicy, SetAssocCache};
@@ -30,10 +30,14 @@ use crate::Budget;
 pub const RANDOM_POLICY_SEED: u64 = 0xbeef;
 
 /// Policies with deterministic victim choice (everything but `random`).
-pub const DETERMINISTIC_POLICIES: [&str; 5] = ["tree-plru", "lru", "fifo", "nru", "srrip"];
+pub const DETERMINISTIC_POLICIES: [&str; 3] = ["tree-plru", "lru", "srrip"];
 
 /// All policy names, including the seeded `random`.
-pub const ALL_POLICIES: [&str; 6] = ["tree-plru", "lru", "fifo", "nru", "srrip", "random"];
+pub const ALL_POLICIES: [&str; 4] = ["tree-plru", "lru", "srrip", "random"];
+
+/// Most ways a checker accepts: `victim-from-allowed-ways` queries all
+/// `2^ways - 1` masks.
+pub const MAX_WAYS: usize = 16;
 
 /// Instantiates a policy by its `name()` string, statically dispatched —
 /// the same [`Policy`] the machine's caches run.
@@ -43,6 +47,29 @@ pub const ALL_POLICIES: [&str; 6] = ["tree-plru", "lru", "fifo", "nru", "srrip",
 /// Returns a message for unknown names.
 pub fn policy_by_name(name: &str) -> Result<Policy, String> {
     policy_kind_by_name(name).map(PolicyKind::build)
+}
+
+/// Checks a replayed recipe's policy name and geometry, so an unknown
+/// policy or an impossible geometry is an error, not a panic or a false
+/// counterexample: at most [`MAX_WAYS`] ways and 64 sets, a power-of-two
+/// set count, and a power-of-two way count under tree-PLRU.
+///
+/// # Errors
+///
+/// Returns a message naming the policy or the geometry.
+pub(crate) fn check_geometry(policy: &str, sets: usize, ways: usize) -> Result<(), String> {
+    policy_kind_by_name(policy)?;
+    let fits = (1..=MAX_WAYS).contains(&ways)
+        && sets.is_power_of_two()
+        && sets <= 64
+        && (policy != "tree-plru" || ways.is_power_of_two());
+    if !fits {
+        return Err(format!(
+            "policy={policy} cannot run {sets} sets x {ways} ways (power-of-two sets up to 64, \
+             1 to {MAX_WAYS} ways, a power of two under tree-plru)"
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -58,6 +85,15 @@ pub enum PolicyOp {
     Hit(usize),
     /// `on_invalidate(0, way)`.
     Inval(usize),
+}
+
+impl PolicyOp {
+    /// The way the op names.
+    pub fn way(self) -> usize {
+        match self {
+            PolicyOp::Fill(w) | PolicyOp::Hit(w) | PolicyOp::Inval(w) => w,
+        }
+    }
 }
 
 /// Formats a policy trace in its compact token form (`f0 h1 i2`).
@@ -83,7 +119,7 @@ pub fn parse_policy_ops(trace: &str) -> Result<Vec<PolicyOp>, String> {
         .split_whitespace()
         .map(|tok| {
             let bad = || format!("malformed policy op {tok:?} (expected f<w>, h<w>, or i<w>)");
-            let way: usize = tok[1..].parse().map_err(|_| bad())?;
+            let way: usize = tok.get(1..).and_then(|w| w.parse().ok()).ok_or_else(bad)?;
             match tok.as_bytes().first() {
                 Some(b'f') => Ok(PolicyOp::Fill(way)),
                 Some(b'h') => Ok(PolicyOp::Hit(way)),
@@ -118,12 +154,11 @@ pub fn check_victim_from_allowed(
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
     replay_policy(&mut policy, ops);
-    for mask_bits in 1u32..(1 << ways) {
-        let allowed: Vec<bool> = (0..ways).map(|w| mask_bits & (1 << w) != 0).collect();
-        let v = policy.victim(0, &allowed);
-        if v >= ways || !allowed[v] {
+    for allowed in 1u64..(1 << ways) {
+        let v = policy.victim(0, allowed);
+        if v >= ways || allowed >> v & 1 == 0 {
             return Err(format!(
-                "victim(allowed={mask_bits:#b}) returned way {v}, which is not allowed"
+                "victim(allowed={allowed:#b}) returned way {v}, which is not allowed"
             ));
         }
     }
@@ -167,8 +202,7 @@ pub fn check_invalidated_preferred(
     let mut policy = policy_by_name(policy_name)?;
     policy.attach(1, ways);
     replay_policy(&mut policy, ops);
-    let allowed = vec![true; ways];
-    let v = policy.victim(0, &allowed);
+    let v = policy.victim(0, (1 << ways) - 1);
     if v != target {
         return Err(format!(
             "after invalidating way {target}, victim chose way {v} (stale replacement state)"
@@ -189,8 +223,9 @@ pub enum CacheOp {
     Access(u64),
     /// Invalidate the line if resident.
     Inval(u64),
-    /// `access_in_ways` with the given mask bits (bit `w` = way `w` allowed).
-    Masked(u32, u64),
+    /// An access under the given fill mask (bit `w` = way `w` allowed);
+    /// the full mask is restored after it.
+    Masked(u64, u64),
 }
 
 /// Formats a cache trace (`a0 i1 m1:2` — masks in hex).
@@ -222,7 +257,7 @@ pub fn parse_cache_ops(trace: &str) -> Result<Vec<CacheOp>, String> {
                 Some(b'i') => tok[1..].parse().map(CacheOp::Inval).map_err(|_| bad()),
                 Some(b'm') => {
                     let (mask, line) = tok[1..].split_once(':').ok_or_else(bad)?;
-                    let mask = u32::from_str_radix(mask, 16).map_err(|_| bad())?;
+                    let mask = u64::from_str_radix(mask, 16).map_err(|_| bad())?;
                     if mask == 0 {
                         return Err("way mask must allow at least one way".into());
                     }
@@ -232,10 +267,6 @@ pub fn parse_cache_ops(trace: &str) -> Result<Vec<CacheOp>, String> {
             }
         })
         .collect()
-}
-
-fn mask_vec(bits: u32, ways: usize) -> Vec<bool> {
-    (0..ways).map(|w| bits & (1 << w) != 0).collect()
 }
 
 /// `plru-within-lru`, exact half: at the given tiny geometry, a Tree-PLRU
@@ -266,11 +297,13 @@ pub fn check_plru_matches_lru(sets: usize, ways: usize, ops: &[CacheOp]) -> Resu
             }
             CacheOp::Masked(m, l) => {
                 let line = LineAddr::new(l);
-                let mask = mask_vec(m, ways);
-                let (a, b) = (
-                    plru.access_in_ways(line, &mask),
-                    lru.access_in_ways(line, &mask),
-                );
+                let masked_access = |c: &mut SetAssocCache| {
+                    c.set_fill_mask(m).map_err(|e| e.to_string())?;
+                    let r = c.access(line);
+                    c.set_fill_mask(cfg.all_ways()).map_err(|e| e.to_string())?;
+                    Ok::<_, String>(r)
+                };
+                let (a, b) = (masked_access(&mut plru)?, masked_access(&mut lru)?);
                 if a != b {
                     return Err(format!(
                         "step {i} (masked {m:#x} access {l}): tree-plru {a:?} differs from lru {b:?}"
@@ -525,7 +558,11 @@ pub fn replay_policy_recipe(
     let map = parse_config(config)?;
     let policy = require(&map, "policy")?.to_owned();
     let ways = require_usize(&map, "ways")?;
+    check_geometry(&policy, 1, ways)?;
     let ops = parse_policy_ops(trace)?;
+    if let Some(op) = ops.iter().find(|op| op.way() >= ways) {
+        return Err(format!("policy op {op:?} names a way outside 0..{ways}"));
+    }
     let result = match invariant {
         "victim-from-allowed-ways" => check_victim_from_allowed(&policy, ways, &ops),
         "invalidated-way-preferred" => check_invalidated_preferred(&policy, ways, &ops),
@@ -548,16 +585,25 @@ pub fn replay_policy_recipe(
 pub fn replay_cache_recipe(config: &str, trace: &str) -> Result<Option<Counterexample>, String> {
     let map = parse_config(config)?;
     let ops = parse_cache_ops(trace)?;
-    let result = match require(&map, "mode")? {
-        "equiv" => check_plru_matches_lru(
-            require_usize(&map, "sets")?,
-            require_usize(&map, "ways")?,
-            &ops,
-        ),
-        "mru" => {
-            check_never_evicts_mru(require(&map, "policy")?, require_usize(&map, "ways")?, &ops)
-        }
+    let ways = require_usize(&map, "ways")?;
+    let mode = require(&map, "mode")?;
+    let (policy, sets) = match mode {
+        "equiv" => ("tree-plru", require_usize(&map, "sets")?),
+        "mru" => (require(&map, "policy")?, 1),
         other => return Err(format!("unknown plru-within-lru mode {other:?}")),
+    };
+    check_geometry(policy, sets, ways)?;
+    for op in &ops {
+        if let CacheOp::Masked(m, _) = *op {
+            if m >> ways != 0 {
+                return Err(format!("way mask {m:#x} names a way outside 0..{ways}"));
+            }
+        }
+    }
+    let result = if mode == "equiv" {
+        check_plru_matches_lru(sets, ways, &ops)
+    } else {
+        check_never_evicts_mru(policy, ways, &ops)
     };
     Ok(result.err().map(|detail| Counterexample {
         invariant: "plru-within-lru",

@@ -123,7 +123,7 @@ pub fn parse_engine_ops(trace: &str) -> Result<Vec<EngineOp>, String> {
             if tok == "F" {
                 return Ok(EngineOp::FlushAll);
             }
-            let n: usize = tok[1..].parse().map_err(|_| bad())?;
+            let n: usize = tok.get(1..).and_then(|n| n.parse().ok()).ok_or_else(bad)?;
             match tok.as_bytes().first() {
                 Some(b'r') => Ok(EngineOp::Read(n)),
                 Some(b'w') => Ok(EngineOp::Write(n)),
@@ -372,6 +372,7 @@ pub fn replay_engine_recipe(config: &str, trace: &str) -> Result<Option<Countere
     let policy = require(&map, "policy")?.to_owned();
     let sets = require_usize(&map, "sets")?;
     let ways = require_usize(&map, "ways")?;
+    crate::cache_spec::check_geometry(&policy, sets, ways)?;
     let ops = parse_engine_ops(trace)?;
     Ok(check_walk_program(geom, &policy, sets, ways, &ops)
         .err()

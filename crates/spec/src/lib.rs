@@ -14,7 +14,7 @@
 //! | `walk-stops-at-first-hit` | engine | an MEE walk fills exactly the missed prefix of its ladder and stops at the first cached level |
 //! | `clflush-spares-mee-cache` | machine | `clflush` evicts from L1/L2/LLC but never perturbs the MEE cache (the paper's channel premise) |
 //! | `plru-within-lru` | cache | Tree-PLRU is exactly LRU at 2 ways and never evicts the MRU way |
-//! | `victim-from-allowed-ways` | cache | `victim` respects any non-empty way mask, after any history |
+//! | `victim-from-allowed-ways` | cache | `victim(set, allowed)` returns an allowed way for every non-empty `u64` way mask, after any history |
 //! | `invalidated-way-preferred` | cache | a freshly invalidated way is the next victim under every deterministic policy |
 //! | `prm-bounds-enforced` | machine | tree lines stay off-chip, LLC inclusion holds, MEE-cached lines stay inside the PRM tree region, and bad inputs fault with typed errors |
 //! | `tree-consistency` | tree | verified reads are last-write-wins and tampers are detected with exact blast radii |

@@ -90,8 +90,6 @@ pub fn policy_kind_by_name(name: &str) -> Result<PolicyKind, String> {
     match name {
         "tree-plru" => Ok(PolicyKind::TreePlru),
         "lru" => Ok(PolicyKind::TrueLru),
-        "fifo" => Ok(PolicyKind::Fifo),
-        "nru" => Ok(PolicyKind::Nru),
         "srrip" => Ok(PolicyKind::Srrip),
         "random" => Ok(PolicyKind::Random {
             seed: crate::cache_spec::RANDOM_POLICY_SEED,
@@ -105,8 +103,6 @@ pub fn policy_kind_name(kind: PolicyKind) -> &'static str {
     match kind {
         PolicyKind::TreePlru => "tree-plru",
         PolicyKind::TrueLru => "lru",
-        PolicyKind::Fifo => "fifo",
-        PolicyKind::Nru => "nru",
         PolicyKind::Srrip => "srrip",
         PolicyKind::Random { .. } => "random",
     }
@@ -245,7 +241,7 @@ pub fn parse_mach_ops(trace: &str) -> Result<Vec<MachOp>, String> {
         .split_whitespace()
         .map(|tok| {
             let bad = || format!("malformed machine op {tok:?} (expected r/w/c/p<core>.<palette>)");
-            let (head, rest) = tok.split_at(1);
+            let (head, rest) = tok.split_at_checked(1).ok_or_else(bad)?;
             let (c, k) = rest.split_once('.').ok_or_else(bad)?;
             let c: usize = c.parse().map_err(|_| bad())?;
             let k: usize = k.parse().map_err(|_| bad())?;

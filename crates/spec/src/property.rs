@@ -182,13 +182,7 @@ fn tree_property(rng: &mut Rng, seed: u64, out: &mut Vec<Counterexample>) {
 fn machine_property(rng: &mut Rng, seed: u64, out: &mut Vec<Counterexample>) {
     let policy = pick(
         rng,
-        &[
-            PolicyKind::TreePlru,
-            PolicyKind::TrueLru,
-            PolicyKind::Fifo,
-            PolicyKind::Nru,
-            PolicyKind::Srrip,
-        ],
+        &[PolicyKind::TreePlru, PolicyKind::TrueLru, PolicyKind::Srrip],
     );
     let pal = MACH_PALETTE.len();
     let ops = vec_of(rng, 8..24, |r| {
